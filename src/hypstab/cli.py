@@ -26,35 +26,21 @@ from .potential import (
 from .sim import default_bump, run, write_csv, write_snapshot
 
 
-def worker_count() -> int:
-    """Worker cap from HYPSTAB_THREADS, defaulting to machine parallelism."""
-    raw = os.environ.get("HYPSTAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"HYPSTAB_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(f"{x:.12g}" for x in v) + "]"
 
 
-def _solve_potential(cfg: ScenarioConfig, system, workers: int):
+def _solve_potential(cfg: ScenarioConfig, system):
     if cfg.lmi.mode == "with_remainder":
         c_a = cfg.lmi.c_a_override if cfg.lmi.c_a_override is not None else 1.0
-        return find_potential_with_remainder(system, c_a=c_a, workers=workers)
+        return find_potential_with_remainder(system, c_a=c_a)
     c_b = estimate_source_bound(system)
-    return find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override, workers=workers)
+    return find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override)
 
 
 def cmd_check(cfg: ScenarioConfig, quiet: bool) -> int:
     system = build_system(cfg)
-    result = _solve_potential(cfg, system, worker_count())
+    result = _solve_potential(cfg, system)
 
     say = (lambda *_: None) if quiet else print
     if isinstance(result, Infeasible):
@@ -81,7 +67,7 @@ def cmd_check(cfg: ScenarioConfig, quiet: bool) -> int:
 
 def cmd_run(cfg: ScenarioConfig, quiet: bool, csv_override: str | None) -> int:
     system = build_system(cfg)
-    result = _solve_potential(cfg, system, worker_count())
+    result = _solve_potential(cfg, system)
     if isinstance(result, Infeasible):
         if not quiet:
             print("infeasible; nothing to simulate", file=sys.stderr)
@@ -125,7 +111,7 @@ def cmd_oracle(cfg: ScenarioConfig, quiet: bool) -> int:
         raise ConfigError(f"oracle cross-check needs d = 2, got d = {system.d}")
     # Always the plain inequality: that is what the grid scan tests.
     c_b = estimate_source_bound(system)
-    result = find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override, workers=worker_count())
+    result = find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override)
     solver_feasible = isinstance(result, LyapunovPotential)
     c = result.c_a if solver_feasible else 1.0
     grid_feasible, witness = brute_force_feasible(system, c=c)

@@ -46,9 +46,5 @@ class DegenerateSeries(HypstabError):
     """A time series is unusable for rate fitting (too short or nonpositive)."""
 
 
-class InfeasiblePotential(HypstabError):
-    """No linear weight satisfies the matrix inequality for this system."""
-
-
 class ConfigError(HypstabError):
     """A scenario configuration file is malformed or inconsistent."""

@@ -1,9 +1,11 @@
 """Brute-force weight-vector search, independent of the production solver.
 
 Scans a uniform grid of candidate weight vectors m in [-m_max, m_max]^2 and
-tests c*Id + sum_k m_k A_k <= 0 with numpy's LAPACK eigensolver.  Slow but
-has no shared code path with the direction-scan search, so agreement between
-the two is meaningful evidence.
+tests c*Id + sum_k m_k A_k <= 0 with numpy's LAPACK eigensolver.  The
+direction search uses the same LAPACK routine, so the independence lies in
+the method: a grid over m here, against a scan over unit directions with
+golden-section refinement there, whose certificate is then verified by the
+Jacobi ``lmi_check``.  Agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Everything here operates on real symmetric matrices of modest size (the
 characteristic dimension of a hyperbolic system, typically n <= 10), so a
 dependency-free cyclic Jacobi eigensolver is both adequate and exactly
-reproducible across platforms.
+reproducible across platforms.  It serves the boundary eigendata and the
+certificate checks (``lmi_check``); the weight search's direction scan uses
+numpy's batched LAPACK solver instead, so every certificate is verified by
+a solver the search did not use.
 """
 
 from __future__ import annotations

@@ -131,19 +131,6 @@ def test_build_grid_and_control():
     assert law.mode == "prescribed" and law.datum == 7.0
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("HYPSTAB_THREADS", raising=False)
-    assert cli.worker_count() >= 1
-    monkeypatch.setenv("HYPSTAB_THREADS", "3")
-    assert cli.worker_count() == 3
-    monkeypatch.setenv("HYPSTAB_THREADS", "0")
-    with pytest.raises(ConfigError):
-        cli.worker_count()
-    monkeypatch.setenv("HYPSTAB_THREADS", "many")
-    with pytest.raises(ConfigError):
-        cli.worker_count()
-
-
 def write_cfg(tmp_path, text):
     path = tmp_path / "scenario.cfg"
     path.write_text(text)

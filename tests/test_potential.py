@@ -13,8 +13,11 @@ from hypstab.potential import (
     lmi_check_with_remainder,
     potential_value,
     remainder_matrix,
+    _pencil_top_eigs,
+    _scan_directions,
+    _unit_directions,
 )
-from hypstab.symlin import SymMatrix
+from hypstab.symlin import SymMatrix, max_eigenvalue
 from hypstab.sysdef import HyperbolicSystem, advection_system
 
 from conftest import random_system
@@ -103,10 +106,31 @@ def test_c_a_override(supersonic):
     assert isinstance(find_potential(supersonic, 0.5, c_a_override=0.5), Infeasible)
 
 
-def test_workers_do_not_change_the_result(supersonic):
-    a = find_potential(supersonic, 0.0, workers=1)
-    b = find_potential(supersonic, 0.0, workers=4)
+def test_repeated_solves_are_bit_identical(supersonic):
+    a = find_potential(supersonic, 0.0)
+    b = find_potential(supersonic, 0.0)
     assert np.array_equal(a.m, b.m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3, 6, 10])
+def test_batched_top_eigenvalue_matches_jacobi(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    sys_ = random_system(rng, d, n)
+    dirs = rng.normal(size=(16, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    batched = _pencil_top_eigs(sys_, dirs)
+    scale = max(np.abs(jac.a).max() for jac in sys_.jacobians)
+    for direction, top in zip(dirs, batched):
+        pencil = sum(c * jac.a for c, jac in zip(direction, sys_.jacobians))
+        assert abs(top - max_eigenvalue(SymMatrix(pencil))) <= 1e-12 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scan_of_zero_jacobians_returns_the_first_direction(d):
+    zero = SymMatrix(np.zeros((2, 2)))
+    sys_ = HyperbolicSystem((zero,) * d, np.zeros((2, 2)))
+    assert _scan_directions(sys_, _unit_directions(d)) == 0
 
 
 def test_remainder_mode_dissipative_source():
