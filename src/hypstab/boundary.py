@@ -1,11 +1,15 @@
 """Boundary partition and feedback control laws on axis-aligned boxes.
 
-Each boundary face of the cell grid carries the eigendecomposition of the
-Jacobian pencil along its outward normal.  A characteristic with negative
-speed there enters the domain and can carry prescribed data (the
-controllable part); nonnegative speeds leave the domain and are traced
-from the interior.  The weighted flux of |q|^2 through the boundary is the
+A box has 2 d sides, and the outward normal is constant on each of them, so
+one eigendecomposition of the Jacobian pencil along that normal serves every
+face of a side.  A characteristic with negative speed there enters the
+domain through the whole side and can carry prescribed data (the
+controllable part); nonnegative speeds leave the domain and are traced from
+the interior.  The weighted flux of |q|^2 through the boundary is the
 quantity whose sign the feedback laws protect.
+
+Per-face data (traces, controls, ghost states, weights) travels as one
+array per side, in SIDE_ORDER, with one row per face of that side.
 """
 
 from __future__ import annotations
@@ -24,34 +28,38 @@ INEQUALITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryFace:
-    """One face of a boundary cell: location, outward normal, and measure."""
+class BoundarySide:
+    """The faces of one box side: outward normal orientation * e_axis,
+    face centres (one row per face, ordered by cell index) and the face
+    area they share."""
 
-    cell: tuple[int, ...]
-    side: str
-    center: np.ndarray
-    normal: np.ndarray
     axis: int
     orientation: int
+    centers: np.ndarray
     area: float
 
-    def __post_init__(self) -> None:
-        if self.area <= 0.0:
-            raise ValueError(f"face area {self.area} must be positive")
-        center = np.asarray(self.center, dtype=float)
-        normal = np.asarray(self.normal, dtype=float)
-        expect = np.zeros(center.size)
-        expect[self.axis] = float(self.orientation)
-        if not np.array_equal(normal, expect):
-            raise ValueError("normal must be exactly +/- a coordinate unit vector")
-        center.setflags(write=False)
-        normal.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "normal", normal)
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    @property
+    def normal(self) -> np.ndarray:
+        normal = np.zeros(self.centers.shape[1])
+        normal[self.axis] = float(self.orientation)
+        return normal
 
 
-def rectangle_faces(cells_per_axis, lengths) -> list[BoundaryFace]:
-    """Boundary faces of a box grid, ordered by cell index then side.
+@dataclass(frozen=True, eq=False)
+class BoxBoundary:
+    """The sides of a box grid in SIDE_ORDER; len() counts their faces."""
+
+    sides: tuple[BoundarySide, ...]
+
+    def __len__(self) -> int:
+        return sum(len(side) for side in self.sides)
+
+
+def rectangle_faces(cells_per_axis, lengths) -> BoxBoundary:
+    """Boundary sides of a box grid, in SIDE_ORDER.
 
     In one dimension the boundary measure is a point count, so each of the
     two endpoint faces has area 1.
@@ -62,197 +70,134 @@ def rectangle_faces(cells_per_axis, lengths) -> list[BoundaryFace]:
     if d not in (1, 2) or len(ls) != d:
         raise SizeMismatch(f"unsupported box description: cells {ns}, lengths {ls}")
     dx = tuple(l / n for l, n in zip(ls, ns))
+    if not min(dx) > 0.0:
+        raise ValueError(f"cell spacing {dx} must be positive")
 
-    def center_of(cell: tuple[int, ...], axis: int, orientation: int) -> np.ndarray:
-        c = np.array([(i + 0.5) * h for i, h in zip(cell, dx)])
-        c[axis] = ls[axis] if orientation > 0 else 0.0
-        return c
-
-    faces: list[BoundaryFace] = []
-    for cell in np.ndindex(*ns):
-        for side_idx, side in enumerate(SIDE_ORDER[: 2 * d]):
-            axis = side_idx // 2
-            orientation = 1 if side.endswith("+") else -1
-            boundary_index = ns[axis] - 1 if orientation > 0 else 0
-            if cell[axis] != boundary_index:
-                continue
-            normal = np.zeros(d)
-            normal[axis] = float(orientation)
-            area = 1.0 if d == 1 else dx[1 - axis]
-            faces.append(
-                BoundaryFace(
-                    cell=tuple(cell),
-                    side=side,
-                    center=center_of(tuple(cell), axis, orientation),
-                    normal=normal,
-                    axis=axis,
-                    orientation=orientation,
-                    area=area,
-                )
-            )
-    return faces
+    sides = []
+    for axis in range(d):
+        for orientation in (-1, 1):
+            edge = ls[axis] if orientation > 0 else 0.0
+            if d == 1:
+                centers, area = np.array([[edge]]), 1.0
+            else:
+                other = 1 - axis
+                centers = np.empty((ns[other], 2))
+                centers[:, axis] = edge
+                centers[:, other] = (np.arange(ns[other]) + 0.5) * dx[other]
+                area = dx[other]
+            centers.setflags(write=False)
+            sides.append(BoundarySide(axis, orientation, centers, area))
+    return BoxBoundary(tuple(sides))
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryPartition:
-    """Faces with per-normal eigendata and the inflow/outflow split.
+class BoundaryPartition(BoxBoundary):
+    """Sides with the pencil eigendata along their outward normals.
 
-    gamma_minus[i] / gamma_plus[i] hold the indices (into ``faces``) of the
-    faces where characteristic i enters / leaves the domain; together they
-    cover every face exactly once for each i.
+    inflow[s, i] is True when characteristic i enters the domain through
+    side s (negative speed there); it then enters through every face of
+    the side, and otherwise leaves through every one.
     """
 
-    faces: tuple[BoundaryFace, ...]
-    n: int
-    eigendata: dict
-    groups: dict
-    lam: np.ndarray
-    gamma_minus: tuple[np.ndarray, ...]
-    gamma_plus: tuple[np.ndarray, ...]
+    eigs: tuple[EigenDecomposition, ...]
+    inflow: np.ndarray
 
-    def transform(self, face_index: int) -> np.ndarray:
-        """Eigenvector matrix of the pencil along the face's outward normal."""
-        face = self.faces[face_index]
-        return self.eigendata[(face.axis, face.orientation)].T
+    @property
+    def n(self) -> int:
+        return self.inflow.shape[1]
 
     def has_inflow(self) -> bool:
-        return any(idx.size for idx in self.gamma_minus)
+        return bool(self.inflow.any())
 
 
-def partition_boundary(system: HyperbolicSystem, faces) -> BoundaryPartition:
-    """Classify every face of every characteristic by the sign of its speed.
-
-    The pencil eigendecomposition is computed once per distinct outward
-    normal (at most 2 d for a box) and shared across faces.
-    """
-    faces = tuple(faces)
-    if not faces:
-        raise SizeMismatch("face list is empty")
-    d = system.d
-    for face in faces:
-        if face.center.size != d:
-            raise SizeMismatch("face dimension does not match the system")
-
-    eigendata = {}
-    group_lists: dict[tuple[int, int], list[int]] = {}
-    for f, face in enumerate(faces):
-        key = (face.axis, face.orientation)
-        if key not in eigendata:
-            normal = np.zeros(d)
-            normal[face.axis] = float(face.orientation)
-            eigendata[key] = eigendecompose(assemble_pencil(system.jacobians, normal))
-            group_lists[key] = []
-        group_lists[key].append(f)
-    groups = {key: np.array(rows) for key, rows in group_lists.items()}
-
-    lam = np.empty((len(faces), system.n))
-    for f, face in enumerate(faces):
-        lam[f] = eigendata[(face.axis, face.orientation)].eigenvalues
-    lam.setflags(write=False)
-
-    gamma_minus = tuple(np.nonzero(lam[:, i] < 0.0)[0] for i in range(system.n))
-    gamma_plus = tuple(np.nonzero(lam[:, i] >= 0.0)[0] for i in range(system.n))
-    return BoundaryPartition(
-        faces=faces,
-        n=system.n,
-        eigendata=eigendata,
-        groups=groups,
-        lam=lam,
-        gamma_minus=gamma_minus,
-        gamma_plus=gamma_plus,
-    )
+def partition_boundary(system: HyperbolicSystem, boundary: BoxBoundary) -> BoundaryPartition:
+    """Classify every characteristic on every side by the sign of its speed."""
+    sides = boundary.sides
+    if not sides:
+        raise SizeMismatch("boundary has no sides")
+    if any(side.centers.shape[1] != system.d for side in sides):
+        raise SizeMismatch("face dimension does not match the system")
+    eigs = tuple(eigendecompose(assemble_pencil(system.jacobians, side.normal)) for side in sides)
+    inflow = np.array([eig.eigenvalues < 0.0 for eig in eigs])
+    inflow.setflags(write=False)
+    return BoundaryPartition(sides=sides, eigs=eigs, inflow=inflow)
 
 
-def face_weights(partition: BoundaryPartition, pot: LyapunovPotential | None) -> np.ndarray:
-    """area * exp(mu(center)) per face; a missing weight means mu = 0."""
-    areas = np.array([face.area for face in partition.faces])
+def _per_side(partition: BoundaryPartition, arrays, what: str) -> tuple[np.ndarray, ...]:
+    """One (faces, n) array per side, checked against the partition."""
+    arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+    expect = tuple((len(side), partition.n) for side in partition.sides)
+    got = tuple(a.shape for a in arrays)
+    if got != expect:
+        raise SizeMismatch(f"{what} shapes {got} do not match {expect}")
+    return arrays
+
+
+def face_weights(
+    partition: BoundaryPartition, pot: LyapunovPotential | None
+) -> tuple[np.ndarray, ...]:
+    """area * exp(mu(center)) per face of each side; a missing weight means mu = 0."""
     if pot is None:
-        return areas
-    centers = np.stack([face.center for face in partition.faces])
-    return areas * np.exp(centers @ pot.m)
+        return tuple(np.full(len(side), side.area) for side in partition.sides)
+    return tuple(side.area * np.exp(side.centers @ pot.m) for side in partition.sides)
 
 
-def characteristic_traces(partition: BoundaryPartition, trace: np.ndarray) -> np.ndarray:
-    """Per-face characteristic variables q = T^T w from physical traces."""
-    trace = np.asarray(trace, dtype=float)
-    if trace.shape != (len(partition.faces), partition.n):
-        raise SizeMismatch(
-            f"trace shape {trace.shape} does not match "
-            f"({len(partition.faces)}, {partition.n})"
-        )
-    q = np.empty_like(trace)
-    for key, rows in partition.groups.items():
-        t = partition.eigendata[key].T
-        q[rows] = trace[rows] @ t
-    return q
+def characteristic_traces(partition: BoundaryPartition, traces) -> tuple[np.ndarray, ...]:
+    """Per-side characteristic variables q = T^T w from physical traces."""
+    traces = _per_side(partition, traces, "trace")
+    return tuple(trace @ eig.T for trace, eig in zip(traces, partition.eigs))
 
 
 def boundary_integral(
-    partition: BoundaryPartition, trace: np.ndarray, pot: LyapunovPotential | None = None
+    partition: BoundaryPartition, traces, pot: LyapunovPotential | None = None
 ) -> float:
     """Midpoint quadrature of sum_i lambda_i q_i^2 exp(mu) over the boundary."""
-    q = characteristic_traces(partition, trace)
-    weights = face_weights(partition, pot)
-    return float(np.sum(weights * np.sum(partition.lam * q * q, axis=1)))
+    total = 0.0
+    for q, eig, weights in zip(
+        characteristic_traces(partition, traces), partition.eigs, face_weights(partition, pot)
+    ):
+        total += np.sum(weights * np.sum(eig.eigenvalues * q * q, axis=1))
+    return float(total)
+
+
+def _outflow_budget(partition: BoundaryPartition, trace_plus, weights) -> float:
+    """Weighted energy that the traced outgoing characteristics carry out."""
+    budget = 0.0
+    for q, eig, inflow, w in zip(
+        characteristic_traces(partition, trace_plus), partition.eigs, partition.inflow, weights
+    ):
+        out = ~inflow
+        budget += np.sum(eig.eigenvalues[out] * q[:, out] ** 2 * w[:, None])
+    return budget
 
 
 def control_inequality_holds(
     partition: BoundaryPartition,
-    controls: np.ndarray,
-    trace_plus: np.ndarray,
+    controls,
+    trace_plus,
     pot: LyapunovPotential | None = None,
 ) -> bool:
     """Check that injected inflow energy stays below the outflow budget.
 
-    ``controls`` holds the characteristic datum for every inflow pair
-    (face, i); entries elsewhere are ignored and may be NaN.  A NaN on an
-    inflow pair raises MissingControl.
+    ``controls`` holds, per side, the characteristic datum of every face;
+    entries of outgoing characteristics are ignored and may be NaN.  A NaN
+    on an inflow pair raises MissingControl.
     """
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape != (len(partition.faces), partition.n):
-        raise SizeMismatch(
-            f"controls shape {controls.shape} does not match "
-            f"({len(partition.faces)}, {partition.n})"
-        )
+    controls = _per_side(partition, controls, "controls")
     weights = face_weights(partition, pot)
-    q_plus = characteristic_traces(partition, trace_plus)
     lhs = 0.0
-    rhs = 0.0
-    for i in range(partition.n):
-        minus = partition.gamma_minus[i]
-        if minus.size:
-            vals = controls[minus, i]
-            if np.isnan(vals).any():
-                raise MissingControl(f"characteristic {i + 1} lacks a control value")
-            lhs -= np.sum(partition.lam[minus, i] * vals**2 * weights[minus])
-        plus = partition.gamma_plus[i]
-        if plus.size:
-            rhs += np.sum(partition.lam[plus, i] * q_plus[plus, i] ** 2 * weights[plus])
+    for ctrl, eig, inflow, w in zip(controls, partition.eigs, partition.inflow, weights):
+        missing = np.isnan(ctrl).any(axis=0) & inflow
+        if missing.any():
+            raise MissingControl(f"characteristic {np.argmax(missing) + 1} lacks a control value")
+        lhs -= np.sum(eig.eigenvalues[inflow] * ctrl[:, inflow] ** 2 * w[:, None])
+    rhs = _outflow_budget(partition, trace_plus, weights)
     return lhs <= rhs + INEQUALITY_RTOL * (1.0 + lhs + rhs)
-
-
-def _inflow_outflow_sums(
-    partition: BoundaryPartition, trace_plus: np.ndarray, pot: LyapunovPotential | None
-) -> tuple[np.ndarray, float]:
-    """Per-characteristic inflow weights (sum of lambda_i exp(mu) area over
-    gamma_minus[i], each <= 0) and the total outflow budget."""
-    weights = face_weights(partition, pot)
-    q_plus = characteristic_traces(partition, trace_plus)
-    inflow = np.zeros(partition.n)
-    budget = 0.0
-    for i in range(partition.n):
-        minus = partition.gamma_minus[i]
-        if minus.size:
-            inflow[i] = np.sum(partition.lam[minus, i] * weights[minus])
-        plus = partition.gamma_plus[i]
-        if plus.size:
-            budget += np.sum(partition.lam[plus, i] * q_plus[plus, i] ** 2 * weights[plus])
-    return inflow, budget
 
 
 def scalar_feedback_control(
     partition: BoundaryPartition,
-    trace_plus: np.ndarray,
+    trace_plus,
     pot: LyapunovPotential | None = None,
     c: float = 1.0,
 ) -> float:
@@ -261,71 +206,32 @@ def scalar_feedback_control(
     The value saturates the outflow budget at |c| = 1 and scales linearly
     below it.
     """
-    inflow, budget = _inflow_outflow_sums(partition, trace_plus, pot)
-    denominator = np.sum(inflow)
+    weights = face_weights(partition, pot)
+    # Sum of lambda_i exp(mu) area over the inflow pairs, <= 0.
+    denominator = sum(
+        np.sum(w[:, None] * eig.eigenvalues[inflow])
+        for eig, inflow, w in zip(partition.eigs, partition.inflow, weights)
+    )
     if denominator >= 0.0:
         raise NoInflow("no boundary face has an incoming characteristic")
+    budget = _outflow_budget(partition, trace_plus, weights)
     return float(c * np.sqrt(budget / (-denominator)))
 
 
-def uniform_componentwise_controls(
-    partition: BoundaryPartition,
-    trace_plus: np.ndarray,
-    pot: LyapunovPotential | None = None,
-) -> np.ndarray:
-    """Maximal per-characteristic uniform data within the outflow budget.
-
-    The budget is split across characteristics in proportion to their
-    inflow weights, which makes every admissible magnitude equal and the
-    total injected energy exactly match the budget.  Characteristics with
-    no inflow faces get zero.
-    """
-    inflow, budget = _inflow_outflow_sums(partition, trace_plus, pot)
-    total = -np.sum(inflow)
-    controls = np.zeros(partition.n)
-    if total <= 0.0:
-        return controls
-    level = np.sqrt(budget / total)
-    for i in range(partition.n):
-        if partition.gamma_minus[i].size:
-            controls[i] = level
-    return controls
-
-
 def assemble_boundary_data(
-    partition: BoundaryPartition,
-    trace: np.ndarray,
-    uniform_controls: np.ndarray | None = None,
-    per_face_controls: np.ndarray | None = None,
-) -> np.ndarray:
-    """Physical boundary states: traced outflow, prescribed inflow.
+    partition: BoundaryPartition, traces, uniform_controls
+) -> tuple[np.ndarray, ...]:
+    """Physical boundary states per side: traced outflow, prescribed inflow.
 
-    Works in the face-normal characteristic basis, overwriting exactly the
-    inflow components with control data and mapping back.  Pure injection:
-    outgoing components always keep their traced values.
+    Works in the side-normal characteristic basis, overwriting exactly the
+    inflow components with their control value and mapping back.  Pure
+    injection: outgoing components always keep their traced values.
     """
-    q = characteristic_traces(partition, trace)
-    if uniform_controls is not None:
-        uniform_controls = np.asarray(uniform_controls, dtype=float)
-        if uniform_controls.shape != (partition.n,):
-            raise SizeMismatch("uniform controls must have one value per characteristic")
-        for i in range(partition.n):
-            minus = partition.gamma_minus[i]
-            if minus.size:
-                q[minus, i] = uniform_controls[i]
-    if per_face_controls is not None:
-        per_face_controls = np.asarray(per_face_controls, dtype=float)
-        if per_face_controls.shape != q.shape:
-            raise SizeMismatch("per-face controls shape does not match (faces, n)")
-        for i in range(partition.n):
-            minus = partition.gamma_minus[i]
-            if minus.size:
-                vals = per_face_controls[minus, i]
-                if np.isnan(vals).any():
-                    raise MissingControl(f"characteristic {i + 1} lacks a control value")
-                q[minus, i] = vals
-    ghost = np.empty_like(q)
-    for key, rows in partition.groups.items():
-        t = partition.eigendata[key].T
-        ghost[rows] = q[rows] @ t.T
-    return ghost
+    uniform_controls = np.asarray(uniform_controls, dtype=float)
+    if uniform_controls.shape != (partition.n,):
+        raise SizeMismatch("uniform controls must have one value per characteristic")
+    ghosts = []
+    for q, eig, inflow in zip(characteristic_traces(partition, traces), partition.eigs, partition.inflow):
+        q[:, inflow] = uniform_controls[inflow]
+        ghosts.append(q @ eig.T.T)
+    return tuple(ghosts)

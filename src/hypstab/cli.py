@@ -56,12 +56,11 @@ def cmd_check(cfg: ScenarioConfig, quiet: bool) -> int:
     say(f"C_L = {result.c_l:.12g}")
 
     grid = build_grid(cfg, system.d)
-    faces = rectangle_faces(grid.cells_per_axis, grid.lengths)
-    partition = partition_boundary(system, faces)
+    boundary = rectangle_faces(grid.cells_per_axis, grid.lengths)
+    partition = partition_boundary(system, boundary)
+    inflow = sum(len(side) * mask for side, mask in zip(partition.sides, partition.inflow))
     for i in range(system.n):
-        n_in = partition.gamma_minus[i].size
-        n_out = partition.gamma_plus[i].size
-        say(f"component {i + 1}: inflow faces {n_in}, outflow faces {n_out}")
+        say(f"component {i + 1}: inflow faces {inflow[i]}, outflow faces {len(boundary) - inflow[i]}")
     return 0
 
 

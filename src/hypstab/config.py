@@ -157,6 +157,8 @@ def parse_config(text: str) -> ScenarioConfig:
         jacobians=jac,
         source=src,
     )
+    if system.d not in (1, 2):
+        raise ConfigError(f"system.explicit.d = {system.d} must be 1 or 2")
     if kind == "explicit" and not system.jacobians:
         raise ConfigError("system.kind = explicit requires system.explicit.jacobians")
 
@@ -292,5 +294,7 @@ def build_control(cfg: ScenarioConfig) -> ControlLaw:
     if mode == "scalar":
         return ControlLaw.scalar(cfg.control.c)
     if mode == "componentwise":
-        return ControlLaw.componentwise()
+        # Splitting the budget in proportion to the inflow weights gives
+        # every inflow characteristic the same level as scalar feedback at C = 1.
+        return ControlLaw.scalar(1.0)
     return ControlLaw.prescribed(cfg.control.c)

@@ -109,38 +109,24 @@ def lmi_check(system: HyperbolicSystem, m, c: float) -> bool:
     return is_negative_semidefinite(matrix, slack=LMI_SLACK_RTOL * (1.0 + c))
 
 
-def remainder_matrix(system: HyperbolicSystem, x=None) -> np.ndarray:
-    """Zeroth-order remainder at a point: divergence of the Jacobian field
-    minus twice the symmetric source part.  Constant Jacobians contribute
-    nothing, leaving -2 B_sym independently of x."""
+def remainder_matrix(system: HyperbolicSystem) -> np.ndarray:
+    """Zeroth-order remainder: divergence of the Jacobian field minus twice
+    the symmetric source part.  Constant Jacobians contribute nothing, so
+    it is -2 B_sym everywhere."""
     return -2.0 * system.source_sym()
 
 
-def lmi_check_with_remainder(system: HyperbolicSystem, m, c: float, sample_points) -> bool:
-    """Pointwise variant absorbing the zeroth-order remainder into the
-    inequality: c * Id + R(x) + sum_k m_k A_k <= 0 at every sample."""
+def lmi_check_with_remainder(system: HyperbolicSystem, m, c: float) -> bool:
+    """Variant absorbing the zeroth-order remainder into the inequality:
+    c * Id + R + sum_k m_k A_k <= 0."""
     m = _as_coeffs(system, m)
-    points = [np.asarray(x, dtype=float) for x in sample_points]
-    if not points:
-        raise ValueError("sample_points must be nonempty")
-    base = _combination(system, m)
-    slack = LMI_SLACK_RTOL * (1.0 + c)
-    for x in points:
-        matrix = SymMatrix(c * np.eye(system.n) + remainder_matrix(system, x) + base)
-        if not is_negative_semidefinite(matrix, slack=slack):
-            return False
-    return True
+    matrix = SymMatrix(c * np.eye(system.n) + remainder_matrix(system) + _combination(system, m))
+    return is_negative_semidefinite(matrix, slack=LMI_SLACK_RTOL * (1.0 + c))
 
 
-def estimate_source_bound(system: HyperbolicSystem, sample_points=None) -> float:
-    """Least c_b with w^T R(x) w <= c_b |w|^2 at the samples, clamped at zero."""
-    if sample_points is None:
-        sample_points = [np.zeros(system.d)]
-    points = [np.asarray(x, dtype=float) for x in sample_points]
-    if not points:
-        raise ValueError("sample_points must be nonempty")
-    worst = max(max_eigenvalue(SymMatrix(remainder_matrix(system, x))) for x in points)
-    return max(0.0, worst)
+def estimate_source_bound(system: HyperbolicSystem) -> float:
+    """Least c_b with w^T R w <= c_b |w|^2, clamped at zero."""
+    return max(0.0, max_eigenvalue(SymMatrix(remainder_matrix(system))))
 
 
 def _unit_directions(d: int) -> np.ndarray:
@@ -274,7 +260,6 @@ def find_potential(
 
 def find_potential_with_remainder(
     system: HyperbolicSystem,
-    sample_points=None,
     c_a: float = 1.0,
 ) -> LyapunovPotential | Infeasible:
     """Weight search against the remainder-absorbing inequality.
@@ -285,12 +270,10 @@ def find_potential_with_remainder(
     returned potential certifies decay at rate c_l = c_a directly (the
     source term is inside the inequality, so nothing is subtracted).
     """
-    if sample_points is None:
-        sample_points = [np.zeros(system.d)]
     if not c_a > 0.0:
         raise ValueError(f"c_a = {c_a} must be positive")
     zero = np.zeros(system.d)
-    if lmi_check_with_remainder(system, zero, c_a, sample_points):
+    if lmi_check_with_remainder(system, zero, c_a):
         return LyapunovPotential(m=zero.copy(), c_a=c_a, c_b=0.0)
 
     dirs = _unit_directions(system.d)
@@ -307,13 +290,10 @@ def find_potential_with_remainder(
     if not value < 0.0:
         return Infeasible(best_direction=direction, best_value=value)
 
-    remainder_top = max(
-        max_eigenvalue(SymMatrix(remainder_matrix(system, np.asarray(x, dtype=float))))
-        for x in sample_points
-    )
+    remainder_top = max_eigenvalue(SymMatrix(remainder_matrix(system)))
     magnitude = max(remainder_top + c_a, SCALING_MARGIN * c_a) / (-value) * (1.0 + SCALING_MARGIN)
     for _ in range(60):
-        if lmi_check_with_remainder(system, magnitude * direction, c_a, sample_points):
+        if lmi_check_with_remainder(system, magnitude * direction, c_a):
             return LyapunovPotential(m=magnitude * direction, c_a=c_a, c_b=0.0)
         magnitude *= 2.0
     return Infeasible(best_direction=direction, best_value=value)

@@ -17,13 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import (
-    BoundaryPartition,
     assemble_boundary_data,
     boundary_integral,
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
-    uniform_componentwise_controls,
 )
 from .errors import CflViolation, DegenerateSeries, NonFinite, SizeMismatch
 from .potential import LyapunovPotential
@@ -85,7 +83,7 @@ class ControlLaw:
     datum: float | Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("zero", "scalar", "componentwise", "prescribed"):
+        if self.mode not in ("zero", "scalar", "prescribed"):
             raise ValueError(f"unknown control mode {self.mode!r}")
         if self.mode == "scalar" and not -1.0 <= self.gain <= 1.0:
             raise ValueError(f"scalar feedback gain {self.gain} must lie in [-1, 1]")
@@ -101,21 +99,16 @@ class ControlLaw:
         return cls(mode="scalar", gain=float(gain))
 
     @classmethod
-    def componentwise(cls) -> "ControlLaw":
-        return cls(mode="componentwise")
-
-    @classmethod
     def prescribed(cls, datum) -> "ControlLaw":
         return cls(mode="prescribed", datum=datum)
 
 
 @dataclass
 class SimState:
-    """Field values at one instant plus the boundary data last applied."""
+    """Field values at one instant."""
 
     t: float
     w: np.ndarray
-    ghost: np.ndarray
 
 
 @dataclass
@@ -148,10 +141,6 @@ def default_bump(grid: Grid, n: int, amplitude: float = DEFAULT_BUMP_AMPLITUDE) 
     return np.repeat(bump[..., None], n, axis=-1)
 
 
-def boundary_face_count(grid: Grid) -> int:
-    return 2 if grid.d == 1 else 2 * sum(grid.cells_per_axis)
-
-
 def initial_state(grid: Grid, w0) -> SimState:
     """Initial state at t = 0 from an array or a callable of cell centers."""
     if callable(w0):
@@ -162,8 +151,7 @@ def initial_state(grid: Grid, w0) -> SimState:
         raise SizeMismatch(f"initial data shape {w.shape} does not match grid {grid.cells_per_axis}")
     if not np.isfinite(w).all():
         raise NonFinite("initial data must be finite")
-    ghost = np.zeros((boundary_face_count(grid), w.shape[-1]))
-    return SimState(t=0.0, w=w, ghost=ghost)
+    return SimState(t=0.0, w=w)
 
 
 def lyapunov_value(grid: Grid, state, pot: LyapunovPotential | None = None) -> float:
@@ -184,7 +172,6 @@ class _RunContext:
         grid: Grid,
         pot: LyapunovPotential | None,
         control: ControlLaw,
-        partition: BoundaryPartition | None = None,
     ) -> None:
         if system.d != grid.d:
             raise SizeMismatch(f"system dimension {system.d} does not match grid {grid.d}")
@@ -192,24 +179,13 @@ class _RunContext:
         self.grid = grid
         self.pot = pot
         self.control = control
-        self.partition = partition or partition_boundary(
+        self.partition = partition_boundary(
             system, rectangle_faces(grid.cells_per_axis, grid.lengths)
         )
-        faces = self.partition.faces
-        if len(faces) != boundary_face_count(grid):
-            raise SizeMismatch("partition does not describe this grid's boundary")
-        # Axis sweeps use the pencil along +e_k; the low-side ghost rows are
-        # the same eigenvectors, so one decomposition per axis suffices.
-        self.axis_eigs = [self.partition.eigendata[(k, 1)] for k in range(grid.d)]
-        cells = np.array([face.cell for face in faces])
-        self.trace_cells = tuple(cells[:, k] for k in range(grid.d))
-        self.low_faces = []
-        self.high_faces = []
-        for k in range(grid.d):
-            axis_match = np.array([face.axis == k for face in faces])
-            orient = np.array([face.orientation for face in faces])
-            self.low_faces.append(np.nonzero(axis_match & (orient < 0))[0])
-            self.high_faces.append(np.nonzero(axis_match & (orient > 0))[0])
+        # Axis sweeps use the pencil along +e_k, the normal of side x_k+;
+        # the low-side ghost rows are the same eigenvectors, so one
+        # decomposition per axis suffices.
+        self.axis_eigs = self.partition.eigs[1::2]
         self.rho_max = system.max_wave_speed()
 
     def cfl_bound(self, cfl: float) -> float:
@@ -218,45 +194,58 @@ class _RunContext:
         return cfl * min(self.grid.spacing) / self.rho_max
 
 
-def _uniform_controls(ctx: _RunContext, state: SimState, trace: np.ndarray) -> np.ndarray:
+def _traces(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boundary cell values of each side, in SIDE_ORDER."""
+    if w.ndim == 2:
+        return (w[:1], w[-1:])
+    return (w[0], w[-1], w[:, 0], w[:, -1])
+
+
+def _boundary_data(ctx: _RunContext, state: SimState) -> tuple[np.ndarray, tuple]:
+    """Controls for the current state and the per-side ghost states they give."""
+    traces = _traces(state.w)
+    controls = _uniform_controls(ctx, state, traces)
+    return controls, assemble_boundary_data(ctx.partition, traces, controls)
+
+
+def _uniform_controls(ctx: _RunContext, state: SimState, traces) -> np.ndarray:
     """Per-characteristic uniform control magnitudes for the current state."""
     partition = ctx.partition
     values = np.zeros(partition.n)
     if not partition.has_inflow() or ctx.control.mode == "zero":
         return values
-    inflow_mask = np.array([idx.size > 0 for idx in partition.gamma_minus])
     if ctx.control.mode == "scalar":
-        level = scalar_feedback_control(partition, trace, ctx.pot, ctx.control.gain)
-        values[inflow_mask] = level
-    elif ctx.control.mode == "componentwise":
-        values = uniform_componentwise_controls(partition, trace, ctx.pot)
+        level = scalar_feedback_control(partition, traces, ctx.pot, ctx.control.gain)
     else:
         datum = ctx.control.datum
         level = float(datum(state.t)) if callable(datum) else float(datum)
-        values[inflow_mask] = level
+    values[partition.inflow.any(axis=0)] = level
     return values
 
 
 def _axis_sweep(
-    ctx: _RunContext, k: int, w: np.ndarray, ghost: np.ndarray | None, dt: float
+    ctx: _RunContext, k: int, w: np.ndarray, ghosts: tuple | None, dt: float
 ) -> np.ndarray:
-    """One upwind transport substep along axis k (ghost=None means periodic)."""
+    """One upwind transport substep along axis k.
+
+    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+;
+    None means periodic, where the opposite edge slab is the ghost.
+    """
     eig = ctx.axis_eigs[k]
     lam = eig.eigenvalues
     t = eig.T
     dx = ctx.grid.spacing[k]
     g = w @ t
-    if ghost is None:
-        g_prev = np.roll(g, 1, axis=k)
-        g_next = np.roll(g, -1, axis=k)
+    if ghosts is None:
+        g_low = np.take(g, [-1], axis=k)
+        g_high = np.take(g, [0], axis=k)
     else:
-        slab = _ghost_shape(g, k)
-        g_low = (ghost[ctx.low_faces[k]] @ t).reshape(slab)
-        g_high = (ghost[ctx.high_faces[k]] @ t).reshape(slab)
-        body = np.take(g, range(g.shape[k] - 1), axis=k)
-        g_prev = np.concatenate([g_low, body], axis=k)
-        body = np.take(g, range(1, g.shape[k]), axis=k)
-        g_next = np.concatenate([body, g_high], axis=k)
+        edge = g.shape[:k] + (1,) + g.shape[k + 1:]
+        g_low, g_high = ((ghost @ t).reshape(edge) for ghost in ghosts)
+    padded = np.concatenate([g_low, g, g_high], axis=k)
+    lead = (slice(None),) * k
+    g_prev = padded[lead + (slice(None, -2),)]
+    g_next = padded[lead + (slice(2, None),)]
     backward = (g - g_prev) / dx
     forward = (g_next - g) / dx
     lam_pos = np.maximum(lam, 0.0)
@@ -265,36 +254,26 @@ def _axis_sweep(
     return w - dt * (flux @ t.T)
 
 
-def _ghost_shape(g: np.ndarray, k: int) -> tuple[int, ...]:
-    shape = list(g.shape)
-    shape[k] = 1
-    return tuple(shape)
-
-
 def _advance(
     ctx: _RunContext, state: SimState, dt: float, cfl: float, periodic: bool = False
-) -> tuple[SimState, np.ndarray]:
-    """One explicit step; returns the new state and the applied controls."""
+) -> tuple[SimState, np.ndarray, tuple | None]:
+    """One explicit step; returns the new state, the applied controls and
+    the per-side ghost states (None when periodic)."""
     bound = ctx.cfl_bound(cfl)
     if dt > bound * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e}")
     if periodic:
-        controls = np.zeros(ctx.partition.n)
-        ghost_arg = None
-        ghost_store = state.ghost
+        controls, ghosts = np.zeros(ctx.partition.n), None
     else:
-        trace = state.w[ctx.trace_cells]
-        controls = _uniform_controls(ctx, state, trace)
-        ghost_store = assemble_boundary_data(ctx.partition, trace, uniform_controls=controls)
-        ghost_arg = ghost_store
+        controls, ghosts = _boundary_data(ctx, state)
     w = state.w
     for k in range(ctx.grid.d):
-        w = _axis_sweep(ctx, k, w, ghost_arg, dt)
+        w = _axis_sweep(ctx, k, w, None if ghosts is None else ghosts[2 * k : 2 * k + 2], dt)
     if ctx.system.source.any():
         w = w - dt * (w @ ctx.system.source.T)
     if not np.isfinite(w).all():
         raise NonFinite(f"non-finite field values after the step ending at t = {state.t + dt:.6e}")
-    return SimState(t=state.t + dt, w=w, ghost=ghost_store), controls
+    return SimState(t=state.t + dt, w=w), controls, ghosts
 
 
 def step(
@@ -309,8 +288,7 @@ def step(
 ) -> SimState:
     """Advance one explicit upwind step of size dt."""
     ctx = _RunContext(system, grid, pot, control)
-    new_state, _ = _advance(ctx, state, dt, cfl, periodic=periodic)
-    return new_state
+    return _advance(ctx, state, dt, cfl, periodic=periodic)[0]
 
 
 def run(
@@ -344,10 +322,10 @@ def run(
     queue = sorted(float(s) for s in snapshot_times)
 
     for i in range(steps):
-        new_state, controls = _advance(ctx, state, dt, cfl)
+        new_state, controls, ghosts = _advance(ctx, state, dt, cfl)
         times[i] = state.t
         lyap[i] = lyapunov_value(grid, state, pot)
-        bnd[i] = boundary_integral(ctx.partition, new_state.ghost, pot)
+        bnd[i] = boundary_integral(ctx.partition, ghosts, pot)
         ctrl[i] = controls
         state = new_state
         while queue and state.t >= queue[0] - 1e-12:
@@ -355,12 +333,10 @@ def run(
             queue.pop(0)
 
     # Final row: boundary data that would be applied at t_end.
-    trace = state.w[ctx.trace_cells]
-    controls = _uniform_controls(ctx, state, trace)
-    ghost = assemble_boundary_data(ctx.partition, trace, uniform_controls=controls)
+    controls, ghosts = _boundary_data(ctx, state)
     times[steps] = state.t
     lyap[steps] = lyapunov_value(grid, state, pot)
-    bnd[steps] = boundary_integral(ctx.partition, ghost, pot)
+    bnd[steps] = boundary_integral(ctx.partition, ghosts, pot)
     ctrl[steps] = controls
 
     try:

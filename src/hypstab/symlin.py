@@ -11,6 +11,7 @@ a solver the search did not use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,43 +127,47 @@ def eigendecompose(matrix: SymMatrix) -> EigenDecomposition:
     after MAX_SWEEPS sweeps, or if the final diagonalization residual is out
     of tolerance.
     """
-    a = matrix.a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    thresh2 = (SWEEP_RTOL * np.linalg.norm(a)) ** 2
+    # The rotations run on nested lists of Python floats, which are several
+    # times faster than numpy for n <= 10 and round identically.
+    a = matrix.a.tolist()
+    n = len(a)
+    v = np.eye(n).tolist()
+    thresh2 = (SWEEP_RTOL * np.linalg.norm(matrix.a)) ** 2
 
     for _ in range(MAX_SWEEPS):
-        if _off_norm2(a) <= thresh2:
+        if _off_norm2(np.array(a)) <= thresh2:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t /= abs(theta) + np.sqrt(1.0 + theta * theta)
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
+                t /= abs(theta) + math.sqrt(1.0 + theta * theta)
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p, row_q = a[p], a[q]
+                for j in range(n):
+                    x, y = row_p[j], row_q[j]
+                    row_p[j] = c * x - s * y
+                    row_q[j] = s * x + c * y
+                row_p[q] = 0.0
+                row_q[p] = 0.0
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
     else:
-        if _off_norm2(a) > thresh2:
+        if _off_norm2(np.array(a)) > thresh2:
             raise NoConvergence(f"off-diagonal norm still above tolerance after {MAX_SWEEPS} sweeps")
 
-    lam = np.diag(a).copy()
+    lam = np.diag(np.array(a))
+    v = np.array(v)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     v = v[:, order]

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from hypstab.boundary import (
+    SIDE_ORDER,
     assemble_boundary_data,
     boundary_integral,
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
-    uniform_componentwise_controls,
 )
+from hypstab.config import build_control, parse_config
 from hypstab.oracle import brute_force_feasible
 from hypstab.potential import Infeasible, LyapunovPotential, find_potential, lmi_check
 from hypstab.sim import ControlLaw, Grid, default_bump, run
@@ -134,29 +135,35 @@ def test_criterion_4_euler_feasibility_boundary():
 
 def test_criterion_5_boundary_partition_exactness():
     t0 = time.perf_counter()
-    system = euler_symmetrized(EulerScenario(1.0, (3.0, 0.0), 1.0))
-    part = partition_boundary(system, rectangle_faces((32, 32), (1.0, 1.0)))
-    upstream = {f for f, face in enumerate(part.faces) if face.side == "x1-"}
-    downstream = {f for f, face in enumerate(part.faces) if face.side == "x1+"}
-    everything = set(range(len(part.faces)))
-    assert len(upstream) == len(downstream) == 32
+    sc = EulerScenario(1.0, (3.0, 0.0), 1.0)
+    part = partition_boundary(euler_symmetrized(sc), rectangle_faces((32, 32), (1.0, 1.0)))
+    # Every face of a side shares its outward normal, so each family
+    # enters or leaves through whole sides.
+    upstream = SIDE_ORDER.index("x1-")
+    downstream = SIDE_ORDER.index("x1+")
+    everything = set(range(len(SIDE_ORDER)))
+    assert len(part) == 128
+    assert len(part.sides[upstream]) == len(part.sides[downstream]) == 32
+
+    def entering(i):
+        return {s for s in everything if part.inflow[s, i]}
 
     # slow acoustic family leaves only downstream
-    assert set(part.gamma_plus[0].tolist()) == downstream
-    assert set(part.gamma_minus[0].tolist()) == everything - downstream
+    assert everything - entering(0) == {downstream}
+    assert entering(0) == everything - {downstream}
     # shear family enters only upstream
-    assert set(part.gamma_minus[1].tolist()) == upstream
-    assert set(part.gamma_plus[1].tolist()) == everything - upstream
+    assert entering(1) == {upstream}
+    assert everything - entering(1) == everything - {upstream}
     # fast acoustic family: at the upstream face the normal speed -v1 + a
     # is negative once v1 > a, so it enters there too (and only there)
-    assert set(part.gamma_minus[2].tolist()) == upstream
-    assert set(part.gamma_plus[2].tolist()) == everything - upstream
+    assert entering(2) == {upstream}
+    assert everything - entering(2) == everything - {upstream}
 
-    # membership is exactly the sign of the characteristic speed
-    for i in range(3):
-        minus = set(part.gamma_minus[i].tolist())
-        for f in range(len(part.faces)):
-            assert (part.lam[f, i] < 0.0) == (f in minus)
+    # membership is exactly the sign of the characteristic speed, here
+    # from the closed-form Euler eigenvalues along each side's normal
+    for s, side in enumerate(part.sides):
+        closed = euler_eigenstructure(sc, side.normal).eigenvalues
+        assert np.array_equal(part.inflow[s], closed < 0.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"[criterion 5] PASS 128 faces x 3 families classified exactly, {elapsed:.2f} s")
@@ -188,23 +195,21 @@ def test_criterion_6_discrete_decay_certificate():
 def test_criterion_7_feedback_saturates_the_budget_exactly():
     system = euler_symmetrized(EulerScenario(1.0, (3.0, 0.0), 1.0))
     part = partition_boundary(system, rectangle_faces((1, 1), (1.0, 1.0)))
-    trace = np.zeros((4, 3))
-    for i, face in enumerate(part.faces):
-        if face.side == "x1+":
-            trace[i] = (1.0, 1.0, 0.0)
-        elif face.side in ("x2-", "x2+"):
-            trace[i] = (1.0, 0.0, 0.0)
+    rows = {"x1-": (0.0, 0.0, 0.0), "x1+": (1.0, 1.0, 0.0), "x2-": (1.0, 0.0, 0.0), "x2+": (1.0, 0.0, 0.0)}
+    trace = tuple(np.array([rows[side]]) for side in SIDE_ORDER)
     # hand arithmetic: outflow budget 9, total inflow weight 11
     budget = 9.0
 
     for sign in (1.0, -1.0):
         level = scalar_feedback_control(part, trace, c=sign)
         assert abs(11.0 * level * level - budget) <= 1e-12 * budget
-        ghost = assemble_boundary_data(part, trace, uniform_controls=np.full(3, level))
+        ghost = assemble_boundary_data(part, trace, np.full(3, level))
         assert abs(boundary_integral(part, ghost)) <= 1e-12 * budget
 
-    levels = uniform_componentwise_controls(part, trace)
-    ghost = assemble_boundary_data(part, trace, uniform_controls=levels)
+    # control.mode = componentwise runs the same law at C = 1
+    law = build_control(parse_config("control.mode = componentwise\n"))
+    level = scalar_feedback_control(part, trace, c=law.gain)
+    ghost = assemble_boundary_data(part, trace, np.full(3, level))
     assert abs(boundary_integral(part, ghost)) <= 1e-12 * budget
     print(f"[criterion 7] PASS injected energy matches the 9/11 budget to 1e-12")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypstab.boundary import (
-    BoundaryFace,
+    SIDE_ORDER,
     assemble_boundary_data,
     boundary_integral,
     characteristic_traces,
@@ -11,101 +11,105 @@ from hypstab.boundary import (
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
-    uniform_componentwise_controls,
 )
+from hypstab.config import build_control, parse_config
 from hypstab.errors import MissingControl, NoInflow, SizeMismatch
 from hypstab.potential import LyapunovPotential
-from hypstab.sysdef import EulerScenario, advection_system, euler_symmetrized
+from hypstab.sim import ControlLaw, Grid, default_bump, run
+from hypstab.sysdef import EulerScenario, advection_system, characteristic_transform
+
+# A constant weight: the sim needs a potential, these tests only its m = 0.
+FLAT_1D = LyapunovPotential(m=np.zeros(1), c_a=1.0, c_b=0.0)
 
 
 @pytest.fixture
 def toy(supersonic):
-    """One-cell box: four faces, hand-checkable budget arithmetic."""
+    """One-cell box: four one-face sides, hand-checkable budget arithmetic."""
     part = partition_boundary(supersonic, rectangle_faces((1, 1), (1.0, 1.0)))
-    trace = np.zeros((4, 3))
-    for i, f in enumerate(part.faces):
-        if f.side == "x1+":
-            trace[i] = (1.0, 1.0, 0.0)
-        elif f.side in ("x2-", "x2+"):
-            trace[i] = (1.0, 0.0, 0.0)
+    rows = {"x1-": (0.0, 0.0, 0.0), "x1+": (1.0, 1.0, 0.0), "x2-": (1.0, 0.0, 0.0), "x2+": (1.0, 0.0, 0.0)}
+    trace = tuple(np.array([rows[side]]) for side in SIDE_ORDER)
     return part, trace
+
+
+def componentwise_law():
+    return build_control(parse_config("control.mode = componentwise\n"))
 
 
 def test_face_validation():
     with pytest.raises(ValueError):
-        BoundaryFace((0,), "x1-", np.zeros(1), np.array([-2.0]), 0, -1, 1.0)
-    with pytest.raises(ValueError):
-        BoundaryFace((0,), "x1-", np.zeros(1), np.array([-1.0]), 0, -1, 0.0)
+        rectangle_faces((4, 4), (-1.0, 1.0))
+    with pytest.raises(SizeMismatch):
+        rectangle_faces((4, 4, 4), (1.0, 1.0, 1.0))
 
 
 def test_rectangle_faces_1d():
-    faces = rectangle_faces((8,), (2.0,))
-    assert len(faces) == 2
-    assert faces[0].side == "x1-" and faces[0].center[0] == 0.0
-    assert faces[1].side == "x1+" and faces[1].center[0] == 2.0
-    assert all(f.area == 1.0 for f in faces)
-    assert faces[0].normal[0] == -1.0 and faces[1].normal[0] == 1.0
+    boundary = rectangle_faces((8,), (2.0,))
+    assert len(boundary) == 2
+    low, high = boundary.sides
+    assert low.centers.tolist() == [[0.0]] and high.centers.tolist() == [[2.0]]
+    assert low.area == high.area == 1.0
+    assert low.normal.tolist() == [-1.0] and high.normal.tolist() == [1.0]
 
 
 def test_rectangle_faces_2d_geometry():
-    faces = rectangle_faces((4, 2), (1.0, 1.0))
-    assert len(faces) == 2 * (4 + 2)
-    for f in faces:
+    boundary = rectangle_faces((4, 2), (1.0, 1.0))
+    assert len(boundary) == 2 * (4 + 2)
+    assert [(s.axis, s.orientation) for s in boundary.sides] == [(0, -1), (0, 1), (1, -1), (1, 1)]
+    assert [len(s) for s in boundary.sides] == [2, 2, 4, 4]
+    for s in boundary.sides:
         # measure is the transverse spacing
-        assert f.area == pytest.approx(0.5 if f.axis == 0 else 0.25)
+        assert s.area == pytest.approx(0.5 if s.axis == 0 else 0.25)
         # centers sit on the box edge, mid-cell transversely
-        assert f.center[f.axis] in (0.0, 1.0)
-    sides = [f.side for f in faces]
-    assert sides.count("x1-") == 2 and sides.count("x1+") == 2
-    assert sides.count("x2-") == 4 and sides.count("x2+") == 4
+        assert np.all(s.centers[:, s.axis] == (1.0 if s.orientation > 0 else 0.0))
+        across = s.centers[:, 1 - s.axis]
+        assert across.tolist() == ([0.25, 0.75] if s.axis == 0 else [0.125, 0.375, 0.625, 0.875])
 
 
 def test_partition_supersonic_counts(supersonic):
     part = partition_boundary(supersonic, rectangle_faces((8, 8), (1.0, 1.0)))
-    counts_minus = [idx.size for idx in part.gamma_minus]
-    counts_plus = [idx.size for idx in part.gamma_plus]
+    counts_minus = sum(len(s) * mask for s, mask in zip(part.sides, part.inflow))
     # slow acoustic enters everywhere but downstream; shear and fast
     # acoustic enter only upstream
-    assert counts_minus == [24, 8, 8]
-    assert counts_plus == [8, 24, 24]
+    assert counts_minus.tolist() == [24, 8, 8]
+    assert (len(part) - counts_minus).tolist() == [8, 24, 24]
     assert part.has_inflow()
 
 
 def test_partition_matches_eigenvalue_signs(supersonic):
     part = partition_boundary(supersonic, rectangle_faces((4, 4), (1.0, 1.0)))
-    for i in range(part.n):
-        minus = set(part.gamma_minus[i].tolist())
-        for f in range(len(part.faces)):
-            assert (part.lam[f, i] < 0.0) == (f in minus)
-        # the two sets tile the boundary
-        assert minus | set(part.gamma_plus[i].tolist()) == set(range(len(part.faces)))
-        assert not minus & set(part.gamma_plus[i].tolist())
+    assert part.inflow.shape == (4, part.n)
+    for side, eig, inflow in zip(part.sides, part.eigs, part.inflow):
+        pencil = sum(nu * jac.a for nu, jac in zip(side.normal, supersonic.jacobians))
+        assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(pencil), atol=1e-12)
+        assert np.array_equal(inflow, eig.eigenvalues < 0.0)
 
 
 def test_face_weights_with_potential(supersonic):
-    part = partition_boundary(supersonic, rectangle_faces((1, 1), (1.0, 1.0)))
-    pot = LyapunovPotential(m=np.array([-1.0, 0.0]), c_a=1.0, c_b=0.0)
-    w = face_weights(part, pot)
-    for face, weight in zip(part.faces, w):
-        assert weight == pytest.approx(np.exp(-face.center[0]), rel=1e-15)
+    part = partition_boundary(supersonic, rectangle_faces((2, 4), (2.0, 1.0)))
+    pot = LyapunovPotential(m=np.array([-1.0, 0.5]), c_a=1.0, c_b=0.0)
+    weights = face_weights(part, pot)
+    for side, w in zip(part.sides, weights):
+        expect = side.area * np.exp(-side.centers[:, 0] + 0.5 * side.centers[:, 1])
+        assert w == pytest.approx(expect, rel=1e-15)
+    assert [w.tolist() for w in face_weights(part, None)] == [[0.25] * 4, [0.25] * 4, [1.0] * 2, [1.0] * 2]
 
 
 def test_characteristic_traces_match_closed_form(supersonic, toy):
     part, trace = toy
     q = characteristic_traces(part, trace)
     sc = EulerScenario(1.0, (3.0, 0.0), 1.0)
-    from hypstab.sysdef import characteristic_transform
-
-    for i, f in enumerate(part.faces):
-        expect = characteristic_transform(sc, f.normal, trace[i])
-        assert np.allclose(q[i], expect, atol=1e-12)
+    for side, q_side, t_side in zip(part.sides, q, trace):
+        expect = characteristic_transform(sc, side.normal, t_side[0])
+        assert np.allclose(q_side[0], expect, atol=1e-12)
+    with pytest.raises(SizeMismatch):
+        characteristic_traces(part, trace[:3])
 
 
 def test_boundary_integral_open_loop_frozen(toy):
     part, trace = toy
     # outflow contributes 8 through x1+, the traced x2 faces cancel, x1- is 0
     assert boundary_integral(part, trace) == pytest.approx(8.0, abs=1e-12)
-    assert boundary_integral(part, np.zeros((4, 3))) == 0.0
+    assert boundary_integral(part, [np.zeros((1, 3))] * 4) == 0.0
 
 
 def test_scalar_feedback_frozen(toy):
@@ -119,80 +123,68 @@ def test_scalar_feedback_frozen(toy):
 def test_scalar_feedback_saturates_budget(toy):
     part, trace = toy
     u = scalar_feedback_control(part, trace, c=1.0)
-    ghost = assemble_boundary_data(part, trace, uniform_controls=np.full(3, u))
+    ghost = assemble_boundary_data(part, trace, np.full(3, u))
     assert abs(boundary_integral(part, ghost)) <= 1e-12 * 9.0
 
 
 def test_componentwise_controls_frozen(toy):
+    # control.mode = componentwise is scalar feedback at C = 1
     part, trace = toy
-    levels = uniform_componentwise_controls(part, trace)
-    assert np.allclose(levels, np.sqrt(9.0 / 11.0), rtol=1e-12)
-    ghost = assemble_boundary_data(part, trace, uniform_controls=levels)
+    law = componentwise_law()
+    assert law == ControlLaw.scalar(1.0)
+    level = scalar_feedback_control(part, trace, c=law.gain)
+    assert level == pytest.approx(np.sqrt(9.0 / 11.0), rel=1e-12)
+    ghost = assemble_boundary_data(part, trace, np.full(3, level))
     assert abs(boundary_integral(part, ghost)) <= 1e-12 * 9.0
 
 
 def test_componentwise_skips_characteristics_without_inflow():
-    # diag(1, 0) never has an inflow slot for the
-    # zero-speed characteristic, which must stay uncontrolled at level 0
+    # diag(1, 0) never has an inflow slot for the zero-speed
+    # characteristic, which must stay uncontrolled at level 0
     sys_ = advection_system([1.0, 0.0])
-    part = partition_boundary(sys_, rectangle_faces((8,), (1.0,)))
-    trace = np.array([[0.0, 0.0], [1.0, 0.0]])
-    levels = uniform_componentwise_controls(part, trace)
-    lam_left = part.lam[0]
-    assert (lam_left < 0).sum() == 1
-    assert levels[np.argmin(lam_left)] == pytest.approx(1.0)
-    assert levels[np.argmax(lam_left)] == 0.0
+    grid = Grid((8,), (1.0,))
+    part = partition_boundary(sys_, rectangle_faces(grid.cells_per_axis, grid.lengths))
+    assert part.inflow.tolist() == [[True, False], [False, False]]
+    rec = run(sys_, grid, default_bump(grid, 2), FLAT_1D, componentwise_law(), t_end=0.1)
+    assert rec.controls[:, 0].max() > 0.0
+    assert not rec.controls[:, 1].any()
 
 
 def test_no_inflow_raises():
     sys_ = advection_system(0.0)
-    part = partition_boundary(sys_, rectangle_faces((8,), (1.0,)))
+    grid = Grid((8,), (1.0,))
+    part = partition_boundary(sys_, rectangle_faces(grid.cells_per_axis, grid.lengths))
     assert not part.has_inflow()
     with pytest.raises(NoInflow):
-        scalar_feedback_control(part, np.ones((2, 1)))
-    # componentwise variant degrades to all-zero controls instead
-    assert np.array_equal(uniform_componentwise_controls(part, np.ones((2, 1))), [0.0])
+        scalar_feedback_control(part, [np.ones((1, 1))] * 2)
+    # the closed loop degrades to all-zero controls instead
+    rec = run(sys_, grid, default_bump(grid, 1), FLAT_1D, componentwise_law(), t_end=0.1)
+    assert not rec.controls.any()
 
 
 def test_control_inequality(toy):
     part, trace = toy
     u = scalar_feedback_control(part, trace, c=0.9)
-    controls = np.full((4, 3), np.nan)
-    controls[part.lam < 0.0] = u
+    controls = [np.where(inflow, u, np.nan)[None, :] for inflow in part.inflow]
     assert control_inequality_holds(part, controls, trace)
-    controls[part.lam < 0.0] = 5.0
+    controls = [np.where(inflow, 5.0, np.nan)[None, :] for inflow in part.inflow]
     assert not control_inequality_holds(part, controls, trace)
 
 
 def test_control_inequality_rejects_missing_values(toy):
     part, trace = toy
-    controls = np.full((4, 3), np.nan)
     with pytest.raises(MissingControl):
-        control_inequality_holds(part, controls, trace)
+        control_inequality_holds(part, [np.full((1, 3), np.nan)] * 4, trace)
     with pytest.raises(SizeMismatch):
-        control_inequality_holds(part, np.zeros((4, 2)), trace)
+        control_inequality_holds(part, [np.zeros((1, 2))] * 4, trace)
 
 
 def test_assemble_is_pure_injection(toy):
     part, trace = toy
-    ghost = assemble_boundary_data(part, trace, uniform_controls=np.array([0.3, 0.2, 0.1]))
+    levels = np.array([0.3, 0.2, 0.1])
+    ghost = assemble_boundary_data(part, trace, levels)
     q_trace = characteristic_traces(part, trace)
     q_ghost = characteristic_traces(part, ghost)
-    for f in range(len(part.faces)):
-        for i in range(part.n):
-            if part.lam[f, i] < 0.0:
-                expect = (0.3, 0.2, 0.1)[i]
-            else:
-                expect = q_trace[f, i]
-            assert q_ghost[f, i] == pytest.approx(expect, abs=1e-12)
-
-
-def test_assemble_per_face_controls_override(toy):
-    part, trace = toy
-    per_face = np.full((4, 3), np.nan)
-    per_face[part.lam < 0.0] = 0.0
-    ghost = assemble_boundary_data(part, trace, per_face_controls=per_face)
-    q_ghost = characteristic_traces(part, ghost)
-    assert np.allclose(q_ghost[part.lam < 0.0], 0.0, atol=1e-14)
-    with pytest.raises(MissingControl):
-        assemble_boundary_data(part, trace, per_face_controls=np.full((4, 3), np.nan))
+    for inflow, qt, qg in zip(part.inflow, q_trace, q_ghost):
+        expect = np.where(inflow, levels, qt)
+        assert qg == pytest.approx(expect, abs=1e-12)

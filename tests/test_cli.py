@@ -59,6 +59,8 @@ def test_parse_comments_and_numbers():
         "system.euler.v_bar = [1.0]\n",
         "time.t_end = inf\n",
         "output.snapshot_times = [0.1, now]\n",
+        "system.kind = explicit\nsystem.explicit.d = 3\nsystem.explicit.n = 1\n"
+        "system.explicit.jacobians = [[[1.0]], [[0.0]], [[0.0]]]\n",
     ],
 )
 def test_parse_rejects(text):
@@ -146,6 +148,40 @@ def test_check_feasible(tmp_path, capsys):
     # every characteristic's face count line is present
     for i in (1, 2, 3):
         assert f"component {i}:" in out
+
+
+NON_SQUARE = """
+system.kind = euler
+system.euler.v_bar = [0.0, 3.0]
+grid.N1 = 8
+grid.N2 = 4
+grid.L1 = 2.0
+grid.L2 = 1.0
+time.t_end = 0.2
+control.mode = scalar
+control.C = 1.0
+output.csv_path = {csv}
+"""
+
+
+def test_check_non_square_grid_face_counts(tmp_path, capsys):
+    # flow along x2: x2- (8 faces) is upstream, x1- and x1+ have 4 faces each
+    path = write_cfg(tmp_path, NON_SQUARE.format(csv=tmp_path / "t.csv"))
+    assert cli.main(["check", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "component 1: inflow faces 16, outflow faces 8",
+        "component 2: inflow faces 8, outflow faces 16",
+        "component 3: inflow faces 8, outflow faces 16",
+    ]
+
+
+def test_run_non_square_grid_final_energy(tmp_path, capsys):
+    path = write_cfg(tmp_path, NON_SQUARE.format(csv=tmp_path / "t.csv"))
+    assert cli.main(["run", "--config", path]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert fields["steps"] == "8"
+    assert float(fields["LT"]) == pytest.approx(0.00263246976721, rel=1e-11)
 
 
 def test_check_infeasible_exit_code(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_remainder_mode_dissipative_source():
     pot = find_potential_with_remainder(sys_)
     assert np.array_equal(pot.m, np.zeros(1))
     assert pot.c_l == 1.0
-    assert lmi_check_with_remainder(sys_, pot.m, pot.c_a, [np.zeros(1)])
+    assert lmi_check_with_remainder(sys_, pot.m, pot.c_a)
 
 
 def test_remainder_mode_growing_source(supersonic):
@@ -149,7 +149,7 @@ def test_remainder_mode_growing_source(supersonic):
     assert isinstance(pot, LyapunovPotential)
     assert pot.c_b == 0.0 and pot.c_l == pot.c_a == 1.0
     assert np.linalg.norm(pot.m) > 0.0
-    assert lmi_check_with_remainder(sys_, pot.m, pot.c_a, [np.zeros(2)])
+    assert lmi_check_with_remainder(sys_, pot.m, pot.c_a)
 
 
 def test_remainder_mode_matches_plain_when_source_vanishes(supersonic):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypstab.config import build_control, parse_config
 from hypstab.errors import CflViolation, DegenerateSeries, NonFinite, SizeMismatch
 from hypstab.potential import LyapunovPotential, find_potential
 from hypstab.sim import (
@@ -160,7 +161,8 @@ def test_run_snapshots(supersonic, pot2d):
 
 def test_run_componentwise_controls_recorded(supersonic, pot2d):
     g = Grid((16, 16), (1.0, 1.0))
-    rec = run(supersonic, g, default_bump(g, 3), pot2d, ControlLaw.componentwise(), t_end=0.05)
+    law = build_control(parse_config("control.mode = componentwise\n"))
+    rec = run(supersonic, g, default_bump(g, 3), pot2d, law, t_end=0.05)
     assert rec.controls.shape[1] == 3
     assert np.all(rec.controls >= 0.0)
     assert rec.controls[0].max() > 0.0
