@@ -4,151 +4,9 @@ Certifies exponential decay of a weighted quadratic functional via a small
 matrix inequality over boundary weight vectors, partitions rectangle
 boundaries into inflow/outflow parts per characteristic component, and
 simulates the closed loop with a characteristic upwind scheme.
+
+The package root exports only ``__version__``; import the submodules
+(``hypstab.potential``, ``hypstab.sim``, ...) for everything else.
 """
 
-from .boundary import (
-    BoundaryPartition,
-    assemble_boundary_data,
-    boundary_integral,
-    characteristic_traces,
-    control_inequality_holds,
-    face_weights,
-    partition_boundary,
-    rectangle_faces,
-    scalar_feedback_control,
-)
-from .config import (
-    ScenarioConfig,
-    build_control,
-    build_grid,
-    build_system,
-    load_config,
-    parse_config,
-    serialize_config,
-)
-from .errors import (
-    CflViolation,
-    ConfigError,
-    DegenerateSeries,
-    HypstabError,
-    InvalidScenario,
-    MissingControl,
-    NoConvergence,
-    NoInflow,
-    NonFinite,
-    NonUnitDirection,
-    NotSymmetric,
-    SizeMismatch,
-)
-from .oracle import brute_force_feasible
-from .potential import (
-    Infeasible,
-    LyapunovPotential,
-    estimate_source_bound,
-    find_potential,
-    find_potential_with_remainder,
-    lmi_check,
-    lmi_check_with_remainder,
-    potential_value,
-    remainder_matrix,
-)
-from .sim import (
-    ControlLaw,
-    Grid,
-    RunRecord,
-    SimState,
-    default_bump,
-    fit_decay_rate,
-    initial_state,
-    lyapunov_value,
-    run,
-    step,
-    write_csv,
-    write_snapshot,
-)
-from .symlin import (
-    EigenDecomposition,
-    SymMatrix,
-    assemble_pencil,
-    eigendecompose,
-    is_negative_semidefinite,
-    max_eigenvalue,
-)
-from .sysdef import (
-    EulerScenario,
-    FluxSpec,
-    HyperbolicSystem,
-    advection_system,
-    characteristic_transform,
-    euler_eigenstructure,
-    euler_symmetrized,
-    linearize_flux,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryPartition",
-    "CflViolation",
-    "ConfigError",
-    "ControlLaw",
-    "DegenerateSeries",
-    "EigenDecomposition",
-    "EulerScenario",
-    "FluxSpec",
-    "Grid",
-    "HyperbolicSystem",
-    "HypstabError",
-    "Infeasible",
-    "InvalidScenario",
-    "LyapunovPotential",
-    "MissingControl",
-    "NoConvergence",
-    "NoInflow",
-    "NonFinite",
-    "NonUnitDirection",
-    "NotSymmetric",
-    "RunRecord",
-    "ScenarioConfig",
-    "SimState",
-    "SizeMismatch",
-    "advection_system",
-    "assemble_boundary_data",
-    "assemble_pencil",
-    "boundary_integral",
-    "brute_force_feasible",
-    "build_control",
-    "build_grid",
-    "build_system",
-    "characteristic_traces",
-    "characteristic_transform",
-    "control_inequality_holds",
-    "default_bump",
-    "eigendecompose",
-    "estimate_source_bound",
-    "euler_eigenstructure",
-    "euler_symmetrized",
-    "face_weights",
-    "find_potential",
-    "find_potential_with_remainder",
-    "fit_decay_rate",
-    "initial_state",
-    "is_negative_semidefinite",
-    "linearize_flux",
-    "lmi_check",
-    "lmi_check_with_remainder",
-    "load_config",
-    "lyapunov_value",
-    "max_eigenvalue",
-    "parse_config",
-    "partition_boundary",
-    "potential_value",
-    "rectangle_faces",
-    "remainder_matrix",
-    "run",
-    "scalar_feedback_control",
-    "serialize_config",
-    "step",
-    "write_csv",
-    "write_snapshot",
-]

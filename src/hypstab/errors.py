@@ -38,10 +38,6 @@ class NoInflow(HypstabError):
     feedback law is undefined."""
 
 
-class CflViolation(HypstabError):
-    """The requested time step exceeds the stability bound."""
-
-
 class DegenerateSeries(HypstabError):
     """A time series is unusable for rate fitting (too short or nonpositive)."""
 

@@ -35,7 +35,6 @@ LMI_SLACK_RTOL = 1e-10
 SCALING_MARGIN = 1e-3
 # Direction-scan resolution.
 SCAN_COUNT_2D = 720
-SCAN_COUNT_3D = 2000
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class LyapunovPotential:
 
     def __post_init__(self) -> None:
         m = np.array(self.m, dtype=float)
-        if m.ndim != 1 or not 1 <= m.size <= 3:
+        if m.ndim != 1 or m.size not in (1, 2):
             raise SizeMismatch(f"weight gradient shape {m.shape} unsupported")
         if not np.isfinite(m).all():
             raise ValueError("weight gradient must be finite")
@@ -78,14 +77,6 @@ class Infeasible:
 
     best_direction: np.ndarray
     best_value: float
-
-
-def potential_value(pot: LyapunovPotential, x) -> float:
-    """The weight exponent mu(x) = m . x (zero offset by convention)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pot.d,):
-        raise SizeMismatch(f"point shape {x.shape} does not match d = {pot.d}")
-    return float(pot.m @ x)
 
 
 def _combination(system: HyperbolicSystem, m: np.ndarray) -> np.ndarray:
@@ -132,16 +123,8 @@ def estimate_source_bound(system: HyperbolicSystem) -> float:
 def _unit_directions(d: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
-    if d == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, SCAN_COUNT_2D, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    # Fibonacci sphere: near-uniform deterministic cover of S^2.
-    i = np.arange(SCAN_COUNT_3D)
-    z = 1.0 - 2.0 * (i + 0.5) / SCAN_COUNT_3D
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    phi = golden * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    theta = np.linspace(0.0, 2.0 * np.pi, SCAN_COUNT_2D, endpoint=False)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def _pencil_top_eigs(system: HyperbolicSystem, dirs: np.ndarray) -> np.ndarray:
@@ -187,29 +170,23 @@ def _refine_2d(system: HyperbolicSystem, theta_lo: float, theta_hi: float) -> tu
     return direction, phi(theta)
 
 
-def _refine_3d(system: HyperbolicSystem, start: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greedy tangent-plane descent from the best scanned direction."""
-    direction = start / np.linalg.norm(start)
-    value = _pencil_max_eig(system, direction)
-    radius = 0.1
-    while radius > 1e-7:
-        # Orthonormal tangent basis at the current direction.
-        pivot = np.zeros(3)
-        pivot[int(np.argmin(np.abs(direction)))] = 1.0
-        t1 = np.cross(direction, pivot)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(direction, t1)
-        improved = False
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            cand = direction + radius * (dx * t1 + dy * t2)
-            cand /= np.linalg.norm(cand)
-            val = _pencil_max_eig(system, cand)
-            if val < value:
-                direction, value = cand, val
-                improved = True
-                break
-        if not improved:
-            radius *= 0.5
+def _best_direction(system: HyperbolicSystem) -> tuple[np.ndarray, float]:
+    """The unit direction minimizing phi, and phi there.
+
+    In d = 1 that is the better of the two scanned directions.  In d = 2
+    golden section refines the best scanned angle within one scan step on
+    either side, and the scanned direction is kept if it is still lower.
+    """
+    dirs = _unit_directions(system.d)
+    best = _scan_directions(system, dirs)
+    coarse = _pencil_max_eig(system, dirs[best])
+    if system.d == 1:
+        return dirs[best], coarse
+    theta = 2.0 * np.pi * best / SCAN_COUNT_2D
+    step = 2.0 * np.pi / SCAN_COUNT_2D
+    direction, value = _refine_2d(system, theta - step, theta + step)
+    if coarse < value:
+        return dirs[best], coarse
     return direction, value
 
 
@@ -228,22 +205,7 @@ def find_potential(
     """
     if c_b < 0.0:
         raise ValueError(f"c_b = {c_b} must be nonnegative")
-    dirs = _unit_directions(system.d)
-    best = _scan_directions(system, dirs)
-
-    if system.d == 1:
-        direction = dirs[best]
-        value = _pencil_max_eig(system, direction)
-    elif system.d == 2:
-        theta = 2.0 * np.pi * best / SCAN_COUNT_2D
-        step = 2.0 * np.pi / SCAN_COUNT_2D
-        direction, value = _refine_2d(system, theta - step, theta + step)
-        coarse = _pencil_max_eig(system, dirs[best])
-        if coarse < value:
-            direction, value = dirs[best], coarse
-    else:
-        direction, value = _refine_3d(system, dirs[best])
-
+    direction, value = _best_direction(system)
     if not value < 0.0:
         return Infeasible(best_direction=direction, best_value=value)
 
@@ -276,17 +238,7 @@ def find_potential_with_remainder(
     if lmi_check_with_remainder(system, zero, c_a):
         return LyapunovPotential(m=zero.copy(), c_a=c_a, c_b=0.0)
 
-    dirs = _unit_directions(system.d)
-    best = _scan_directions(system, dirs)
-    if system.d == 1:
-        direction = dirs[best]
-        value = _pencil_max_eig(system, direction)
-    elif system.d == 2:
-        theta = 2.0 * np.pi * best / SCAN_COUNT_2D
-        step = 2.0 * np.pi / SCAN_COUNT_2D
-        direction, value = _refine_2d(system, theta - step, theta + step)
-    else:
-        direction, value = _refine_3d(system, dirs[best])
+    direction, value = _best_direction(system)
     if not value < 0.0:
         return Infeasible(best_direction=direction, best_value=value)
 

@@ -23,7 +23,7 @@ from .boundary import (
     rectangle_faces,
     scalar_feedback_control,
 )
-from .errors import CflViolation, DegenerateSeries, NonFinite, SizeMismatch
+from .errors import DegenerateSeries, NonFinite, SizeMismatch
 from .potential import LyapunovPotential
 from .sysdef import HyperbolicSystem
 
@@ -182,11 +182,12 @@ class _RunContext:
         self.partition = partition_boundary(
             system, rectangle_faces(grid.cells_per_axis, grid.lengths)
         )
-        # Axis sweeps use the pencil along +e_k, the normal of side x_k+;
-        # the low-side ghost rows are the same eigenvectors, so one
-        # decomposition per axis suffices.
+        # Axis sweeps use the pencil along +e_k, the normal of side x_k+.
+        # That pencil is A_k itself, so its eigenvalues are the wave speeds
+        # along axis k, and the low-side ghost rows use the same
+        # eigenvectors: one decomposition per axis suffices.
         self.axis_eigs = self.partition.eigs[1::2]
-        self.rho_max = system.max_wave_speed()
+        self.rho_max = max(float(np.abs(eig.eigenvalues).max()) for eig in self.axis_eigs)
 
     def cfl_bound(self, cfl: float) -> float:
         if self.rho_max == 0.0:
@@ -224,24 +225,19 @@ def _uniform_controls(ctx: _RunContext, state: SimState, traces) -> np.ndarray:
 
 
 def _axis_sweep(
-    ctx: _RunContext, k: int, w: np.ndarray, ghosts: tuple | None, dt: float
+    ctx: _RunContext, k: int, w: np.ndarray, ghosts: tuple, dt: float
 ) -> np.ndarray:
     """One upwind transport substep along axis k.
 
-    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+;
-    None means periodic, where the opposite edge slab is the ghost.
+    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+.
     """
     eig = ctx.axis_eigs[k]
     lam = eig.eigenvalues
     t = eig.T
     dx = ctx.grid.spacing[k]
     g = w @ t
-    if ghosts is None:
-        g_low = np.take(g, [-1], axis=k)
-        g_high = np.take(g, [0], axis=k)
-    else:
-        edge = g.shape[:k] + (1,) + g.shape[k + 1:]
-        g_low, g_high = ((ghost @ t).reshape(edge) for ghost in ghosts)
+    edge = g.shape[:k] + (1,) + g.shape[k + 1:]
+    g_low, g_high = ((ghost @ t).reshape(edge) for ghost in ghosts)
     padded = np.concatenate([g_low, g, g_high], axis=k)
     lead = (slice(None),) * k
     g_prev = padded[lead + (slice(None, -2),)]
@@ -255,40 +251,19 @@ def _axis_sweep(
 
 
 def _advance(
-    ctx: _RunContext, state: SimState, dt: float, cfl: float, periodic: bool = False
-) -> tuple[SimState, np.ndarray, tuple | None]:
+    ctx: _RunContext, state: SimState, dt: float
+) -> tuple[SimState, np.ndarray, tuple]:
     """One explicit step; returns the new state, the applied controls and
-    the per-side ghost states (None when periodic)."""
-    bound = ctx.cfl_bound(cfl)
-    if dt > bound * (1.0 + 1e-9):
-        raise CflViolation(f"dt = {dt:.6e} exceeds the stability bound {bound:.6e}")
-    if periodic:
-        controls, ghosts = np.zeros(ctx.partition.n), None
-    else:
-        controls, ghosts = _boundary_data(ctx, state)
+    the per-side ghost states."""
+    controls, ghosts = _boundary_data(ctx, state)
     w = state.w
     for k in range(ctx.grid.d):
-        w = _axis_sweep(ctx, k, w, None if ghosts is None else ghosts[2 * k : 2 * k + 2], dt)
+        w = _axis_sweep(ctx, k, w, ghosts[2 * k : 2 * k + 2], dt)
     if ctx.system.source.any():
         w = w - dt * (w @ ctx.system.source.T)
     if not np.isfinite(w).all():
         raise NonFinite(f"non-finite field values after the step ending at t = {state.t + dt:.6e}")
     return SimState(t=state.t + dt, w=w), controls, ghosts
-
-
-def step(
-    system: HyperbolicSystem,
-    grid: Grid,
-    state: SimState,
-    pot: LyapunovPotential | None,
-    control: ControlLaw,
-    dt: float,
-    cfl: float = DEFAULT_CFL,
-    periodic: bool = False,
-) -> SimState:
-    """Advance one explicit upwind step of size dt."""
-    ctx = _RunContext(system, grid, pot, control)
-    return _advance(ctx, state, dt, cfl, periodic=periodic)[0]
 
 
 def run(
@@ -322,7 +297,7 @@ def run(
     queue = sorted(float(s) for s in snapshot_times)
 
     for i in range(steps):
-        new_state, controls, ghosts = _advance(ctx, state, dt, cfl)
+        new_state, controls, ghosts = _advance(ctx, state, dt)
         times[i] = state.t
         lyap[i] = lyapunov_value(grid, state, pot)
         bnd[i] = boundary_integral(ctx.partition, ghosts, pot)

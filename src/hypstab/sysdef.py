@@ -9,18 +9,13 @@ eigenstructure of their directional pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidScenario, NonFinite, NonUnitDirection, NotSymmetric, SizeMismatch
-from .symlin import EigenDecomposition, SymMatrix, eigendecompose
-
-# Relative step for central-difference flux linearization.
-FD_STEP_RTOL = 1e-5
-# linearize_flux tolerates this much asymmetry in each recovered Jacobian.
-FD_ASYMMETRY_RTOL = 1e-6
+from .errors import InvalidScenario, NonFinite, NonUnitDirection, SizeMismatch
+from .symlin import EigenDecomposition, SymMatrix
 
 
 @dataclass(frozen=True)
@@ -33,7 +28,7 @@ class HyperbolicSystem:
 
     def __post_init__(self) -> None:
         jac = tuple(self.jacobians)
-        if not 1 <= len(jac) <= 3:
+        if len(jac) not in (1, 2):
             raise SizeMismatch(f"space dimension {len(jac)} unsupported")
         n = jac[0].n
         if any(j.n != n for j in jac):
@@ -58,14 +53,6 @@ class HyperbolicSystem:
     def source_sym(self) -> np.ndarray:
         """Symmetric part of the source matrix."""
         return (self.source + self.source.T) / 2.0
-
-    def max_wave_speed(self) -> float:
-        """Largest spectral radius over the coordinate Jacobians."""
-        speed = 0.0
-        for jac in self.jacobians:
-            lam = eigendecompose(jac).eigenvalues
-            speed = max(speed, abs(lam[0]), abs(lam[-1]))
-        return speed
 
 
 @dataclass(frozen=True)
@@ -154,74 +141,6 @@ def characteristic_transform(scenario: EulerScenario, nu, w) -> np.ndarray:
     vn = n1 * v1 + n2 * v2
     r = 1.0 / np.sqrt(2.0)
     return np.array([r * (rr - vn), -(n2 * v1 - n1 * v2), r * (rr + vn)])
-
-
-@dataclass(frozen=True)
-class FluxSpec:
-    """A quasilinear flux F(x, u, p) with p = (d_1 u, ..., d_d u).
-
-    The evaluator must accept x of shape (d,), u of shape (n,) and p of
-    shape (d, n), returning shape (n,).
-    """
-
-    d: int
-    n: int
-    evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-
-
-def linearize_flux(spec: FluxSpec, x_ref, u_ref, p_ref) -> HyperbolicSystem:
-    """Linearize a flux around a reference state by central differences.
-
-    Returns the system d_t w + sum_k A_k d_k w + B w = 0 with
-    A_k = dF/dp_k and B = dF/du, both evaluated at the reference point.
-    Each A_k must come out symmetric to within FD_ASYMMETRY_RTOL of its
-    magnitude; B may be arbitrary.
-    """
-    x = np.asarray(x_ref, dtype=float)
-    u = np.asarray(u_ref, dtype=float)
-    p = np.asarray(p_ref, dtype=float)
-    if u.shape != (spec.n,) or p.shape != (spec.d, spec.n):
-        raise SizeMismatch(
-            f"reference shapes u{u.shape}, p{p.shape} do not match (n={spec.n}, d={spec.d})"
-        )
-
-    def evaluate(uu: np.ndarray, pp: np.ndarray) -> np.ndarray:
-        out = np.asarray(spec.evaluator(x, uu, pp), dtype=float)
-        if out.shape != (spec.n,):
-            raise SizeMismatch(f"flux evaluator returned shape {out.shape}")
-        if not np.isfinite(out).all():
-            raise NonFinite("flux evaluator returned non-finite values")
-        return out
-
-    source = np.zeros((spec.n, spec.n))
-    for j in range(spec.n):
-        h = FD_STEP_RTOL * (1.0 + abs(u[j]))
-        up = u.copy()
-        um = u.copy()
-        up[j] += h
-        um[j] -= h
-        source[:, j] = (evaluate(up, p) - evaluate(um, p)) / (2.0 * h)
-
-    jacobians = []
-    for k in range(spec.d):
-        a_k = np.zeros((spec.n, spec.n))
-        for j in range(spec.n):
-            h = FD_STEP_RTOL * (1.0 + abs(p[k, j]))
-            pp = p.copy()
-            pm = p.copy()
-            pp[k, j] += h
-            pm[k, j] -= h
-            a_k[:, j] = (evaluate(u, pp) - evaluate(u, pm)) / (2.0 * h)
-        scale = 1.0 + np.abs(a_k).max()
-        asym = np.abs(a_k - a_k.T).max()
-        if asym > FD_ASYMMETRY_RTOL * scale:
-            raise NotSymmetric(
-                f"Jacobian for axis {k + 1} is asymmetric: {asym:.3e} > "
-                f"{FD_ASYMMETRY_RTOL * scale:.3e}"
-            )
-        jacobians.append(SymMatrix((a_k + a_k.T) / 2.0))
-
-    return HyperbolicSystem(tuple(jacobians), source, label="linearized flux")
 
 
 def advection_system(speeds: Sequence[float] | float) -> HyperbolicSystem:

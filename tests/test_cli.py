@@ -272,11 +272,49 @@ def test_missing_or_broken_config_exits_1(tmp_path, capsys):
     assert cli.main(["check", "--config", path]) == 1
 
 
-def test_example_configs_parse_and_check():
+# Full `check` reports and `run` summaries of the shipped configs.  The
+# digits beyond the solver's tolerance are pinned on purpose: a change that
+# leaves the numerics alone must reproduce them bit for bit.
+SHIPPED_CHECK = {
+    "supersonic_euler.cfg": (0, """\
+feasible
+m   = [-0.5005, -5.27358448265e-09]
+C_A = 1
+C_B = 0
+C_L = 1
+component 1: inflow faces 192, outflow faces 64
+component 2: inflow faces 64, outflow faces 192
+component 3: inflow faces 64, outflow faces 192
+"""),
+    "subsonic_euler.cfg": (2, """\
+infeasible
+least achievable pencil max eigenvalue: 0.5
+at direction [-1, -2.78771471348e-08]
+"""),
+    "advection_1d.cfg": (0, """\
+feasible
+m   = [-1.001]
+C_A = 1
+C_B = 0
+C_L = 1
+component 1: inflow faces 1, outflow faces 1
+"""),
+}
+SHIPPED_RUN = {
+    "supersonic_euler.cfg": (569, 3.57841407452e-36),
+    "advection_1d.cfg": (143, 0.000756284303978),
+}
+
+
+def test_example_configs_parse_and_check(tmp_path, capsys):
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for name, code in [
-        ("supersonic_euler.cfg", 0),
-        ("subsonic_euler.cfg", 2),
-        ("advection_1d.cfg", 0),
-    ]:
+    for name, (code, report) in SHIPPED_CHECK.items():
+        assert cli.main(["check", "--config", str(root / name)]) == code
+        assert capsys.readouterr().out == report
         assert cli.main(["check", "--quiet", "--config", str(root / name)]) == code
+    for name, (steps, lt) in SHIPPED_RUN.items():
+        csv = tmp_path / f"{name}.csv"
+        assert cli.main(["run", "--config", str(root / name), "--csv", str(csv)]) == 0
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert fields["steps"] == str(steps)
+        assert float(fields["LT"]) == pytest.approx(lt, rel=1e-12)

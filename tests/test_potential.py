@@ -11,7 +11,6 @@ from hypstab.potential import (
     find_potential_with_remainder,
     lmi_check,
     lmi_check_with_remainder,
-    potential_value,
     remainder_matrix,
     _pencil_top_eigs,
     _scan_directions,
@@ -31,13 +30,8 @@ def test_potential_constants():
         LyapunovPotential(m=np.zeros(2), c_a=0.0, c_b=0.0)
     with pytest.raises(ValueError):
         LyapunovPotential(m=np.zeros(2), c_a=1.0, c_b=-1.0)
-
-
-def test_potential_value_frozen():
-    pot = LyapunovPotential(m=np.array([1.0, 2.0]), c_a=1.0, c_b=0.0)
-    assert potential_value(pot, (0.5, 0.25)) == pytest.approx(1.0, abs=0.0)
     with pytest.raises(SizeMismatch):
-        potential_value(pot, (0.5,))
+        LyapunovPotential(m=np.zeros(3), c_a=1.0, c_b=0.0)
 
 
 def test_lmi_check_hand_case():
@@ -112,7 +106,7 @@ def test_repeated_solves_are_bit_identical(supersonic):
     assert np.array_equal(a.m, b.m)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
 def test_batched_top_eigenvalue_matches_jacobi(d, n):
     rng = np.random.default_rng(100 * d + n)
@@ -126,7 +120,7 @@ def test_batched_top_eigenvalue_matches_jacobi(d, n):
         assert abs(top - max_eigenvalue(SymMatrix(pencil))) <= 1e-12 * (1.0 + scale)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
 def test_scan_of_zero_jacobians_returns_the_first_direction(d):
     zero = SymMatrix(np.zeros((2, 2)))
     sys_ = HyperbolicSystem((zero,) * d, np.zeros((2, 2)))
@@ -153,9 +147,26 @@ def test_remainder_mode_growing_source(supersonic):
 
 
 def test_remainder_mode_matches_plain_when_source_vanishes(supersonic):
+    # both finders share one direction search, so their unit directions
+    # agree bit for bit; only the magnitude rules differ
     plain = find_potential(supersonic, 0.0)
     rem = find_potential_with_remainder(supersonic)
     assert np.allclose(plain.m, rem.m, rtol=1e-9, atol=1e-9)
+    rng = np.random.default_rng(77)
+    systems = [random_system(rng, d, n) for d in (1, 2) for n in (1, 2, 3) for _ in range(4)]
+    feasible = 0
+    for sys_ in [supersonic] + systems:
+        plain = find_potential(sys_, 0.0)
+        rem = find_potential_with_remainder(sys_)
+        assert isinstance(plain, Infeasible) == isinstance(rem, Infeasible)
+        if isinstance(plain, Infeasible):
+            assert np.array_equal(plain.best_direction, rem.best_direction)
+            assert plain.best_value == rem.best_value
+        else:
+            feasible += 1
+            assert np.array_equal(plain.m / np.linalg.norm(plain.m), rem.m / np.linalg.norm(rem.m))
+    # both branches are exercised
+    assert 5 <= feasible <= len(systems) - 5
 
 
 def test_remainder_mode_subsonic_still_infeasible(subsonic):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypstab.errors import NonFinite, NonUnitDirection, NotSymmetric, SizeMismatch
+from hypstab import symlin
+from hypstab.errors import NoConvergence, NonFinite, NonUnitDirection, NotSymmetric, SizeMismatch
 from hypstab.symlin import (
     EigenDecomposition,
     SymMatrix,
@@ -124,3 +125,12 @@ def test_negative_semidefinite_boundary():
     assert is_negative_semidefinite(SymMatrix(np.diag([-1.0, 0.0])), slack=0.0)
     assert not is_negative_semidefinite(SymMatrix(np.diag([-1.0, 1e-6])), slack=1e-10)
     assert is_negative_semidefinite(SymMatrix(np.diag([5e-11])), slack=1e-10)
+
+
+def test_sweep_cap_raises_no_convergence(monkeypatch):
+    # with no sweeps allowed, a matrix with off-diagonal mass cannot converge
+    monkeypatch.setattr(symlin, "MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence):
+        eigendecompose(SymMatrix([[2.0, 1.0], [1.0, 3.0]]))
+    # a diagonal one already meets the tolerance before the first sweep
+    assert np.array_equal(eigendecompose(SymMatrix(np.diag([2.0, 1.0]))).eigenvalues, [1.0, 2.0])

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from hypstab.errors import InvalidScenario, NotSymmetric, SizeMismatch
+from hypstab.errors import InvalidScenario, SizeMismatch
 from hypstab.symlin import SymMatrix, assemble_pencil, eigendecompose
 from hypstab.sysdef import (
     EulerScenario,
-    FluxSpec,
     HyperbolicSystem,
     advection_system,
     characteristic_transform,
     euler_eigenstructure,
     euler_symmetrized,
-    linearize_flux,
 )
 
 
@@ -37,11 +35,6 @@ def test_euler_jacobians_frozen():
     assert (sys_.d, sys_.n) == (2, 3)
 
 
-def test_euler_max_wave_speed():
-    sys_ = euler_symmetrized(EulerScenario(1.0, (3.0, 0.0), 1.0))
-    assert sys_.max_wave_speed() == pytest.approx(4.0, abs=1e-12)
-
-
 def test_system_validation():
     a = SymMatrix(np.eye(2))
     with pytest.raises(SizeMismatch):
@@ -50,6 +43,9 @@ def test_system_validation():
         HyperbolicSystem((a,), np.zeros((3, 3)))
     with pytest.raises(SizeMismatch):
         HyperbolicSystem((), np.zeros((0, 0)))
+    # the grids and boundaries stop at d = 2, and so does the system
+    with pytest.raises(SizeMismatch):
+        HyperbolicSystem((a, a, a), np.zeros((2, 2)))
 
 
 def test_source_sym():
@@ -104,38 +100,6 @@ def test_characteristic_transform_is_isometry():
         assert np.dot(q, q) == pytest.approx(np.dot(w, w), rel=1e-12)
         # consistent with the closed-form eigenvectors
         assert np.allclose(q, euler_eigenstructure(sc, nu).T.T @ w, atol=1e-12)
-
-
-def test_linearize_recovers_euler():
-    sc = EulerScenario(1.0, (3.0, 0.0), 1.0)
-    target = euler_symmetrized(sc)
-
-    def flux(x, u, p):
-        return sum(a.a @ p[k] for k, a in enumerate(target.jacobians))
-
-    spec = FluxSpec(d=2, n=3, evaluator=flux)
-    sys_ = linearize_flux(spec, np.zeros(2), np.zeros(3), np.zeros((2, 3)))
-    for got, want in zip(sys_.jacobians, target.jacobians):
-        assert np.allclose(got.a, want.a, atol=1e-9)
-    assert np.allclose(sys_.source, 0.0, atol=1e-9)
-
-
-def test_linearize_quadratic_flux_source():
-    # F = (u1^2 / 2, u2) at u_ref = (3, 1): dF/du = [[3, 0], [0, 1]]
-    def flux(x, u, p):
-        return np.array([u[0] ** 2 / 2.0, u[1]]) + p[0]
-
-    sys_ = linearize_flux(FluxSpec(1, 2, flux), np.zeros(1), np.array([3.0, 1.0]), np.zeros((1, 2)))
-    assert np.allclose(sys_.source, [[3.0, 0.0], [0.0, 1.0]], atol=1e-8)
-    assert np.allclose(sys_.jacobians[0].a, np.eye(2), atol=1e-9)
-
-
-def test_linearize_rejects_asymmetric_jacobian():
-    def flux(x, u, p):
-        return np.array([p[0][1], 0.0])
-
-    with pytest.raises(NotSymmetric):
-        linearize_flux(FluxSpec(1, 2, flux), np.zeros(1), np.zeros(2), np.zeros((1, 2)))
 
 
 def test_advection_helper():
