@@ -9,7 +9,9 @@ the interior.  The weighted flux of |q|^2 through the boundary is the
 quantity whose sign the feedback laws protect.
 
 Per-face data (traces, controls, ghost states, weights) travels as one
-array per side, in SIDE_ORDER, with one row per face of that side.
+array per side, in SIDE_ORDER, with one row per face of that side.  The
+quadratures take the weights from face_weights as an argument, so a
+caller that evaluates them every step computes the weights once.
 """
 
 from __future__ import annotations
@@ -148,15 +150,11 @@ def characteristic_traces(partition: BoundaryPartition, traces) -> tuple[np.ndar
     return tuple(trace @ eig.T for trace, eig in zip(traces, partition.eigs))
 
 
-def boundary_integral(
-    partition: BoundaryPartition, traces, pot: LyapunovPotential | None = None
-) -> float:
+def boundary_integral(partition: BoundaryPartition, traces, weights) -> float:
     """Midpoint quadrature of sum_i lambda_i q_i^2 exp(mu) over the boundary."""
     total = 0.0
-    for q, eig, weights in zip(
-        characteristic_traces(partition, traces), partition.eigs, face_weights(partition, pot)
-    ):
-        total += np.sum(weights * np.sum(eig.eigenvalues * q * q, axis=1))
+    for q, eig, w in zip(characteristic_traces(partition, traces), partition.eigs, weights):
+        total += np.sum(w * np.sum(eig.eigenvalues * q * q, axis=1))
     return float(total)
 
 
@@ -171,12 +169,7 @@ def _outflow_budget(partition: BoundaryPartition, trace_plus, weights) -> float:
     return budget
 
 
-def control_inequality_holds(
-    partition: BoundaryPartition,
-    controls,
-    trace_plus,
-    pot: LyapunovPotential | None = None,
-) -> bool:
+def control_inequality_holds(partition: BoundaryPartition, controls, trace_plus, weights) -> bool:
     """Check that injected inflow energy stays below the outflow budget.
 
     ``controls`` holds, per side, the characteristic datum of every face;
@@ -184,7 +177,6 @@ def control_inequality_holds(
     on an inflow pair raises MissingControl.
     """
     controls = _per_side(partition, controls, "controls")
-    weights = face_weights(partition, pot)
     lhs = 0.0
     for ctrl, eig, inflow, w in zip(controls, partition.eigs, partition.inflow, weights):
         missing = np.isnan(ctrl).any(axis=0) & inflow
@@ -196,17 +188,13 @@ def control_inequality_holds(
 
 
 def scalar_feedback_control(
-    partition: BoundaryPartition,
-    trace_plus,
-    pot: LyapunovPotential | None = None,
-    c: float = 1.0,
+    partition: BoundaryPartition, trace_plus, weights, c: float = 1.0
 ) -> float:
     """One admissible datum for every inflow characteristic, |c| <= 1.
 
     The value saturates the outflow budget at |c| = 1 and scales linearly
     below it.
     """
-    weights = face_weights(partition, pot)
     # Sum of lambda_i exp(mu) area over the inflow pairs, <= 0.
     denominator = sum(
         np.sum(w[:, None] * eig.eigenvalues[inflow])

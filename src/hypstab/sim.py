@@ -1,11 +1,17 @@
 """Explicit upwind simulation of controlled hyperbolic systems on boxes.
 
-The scheme is first-order dimension-split upwinding: each axis substep
-diagonalizes its Jacobian, applies one-sided differences per characteristic
-sign, and maps back; the source term follows as an explicit substep.
-Boundary data enters through ghost states whose incoming characteristic
-components are prescribed by the active control law and whose outgoing
-components copy the adjacent interior cell.
+The scheme is first-order dimension-split upwinding by flux-vector
+splitting: each axis Jacobian splits as A_k = A+_k + A-_k into its
+nonnegative and nonpositive spectral parts, and the axis substep applies
+A+_k to backward and A-_k to forward differences of the physical field;
+the source term follows as an explicit substep.  Boundary data enters
+through ghost states whose incoming characteristic components are
+prescribed by the active control law and whose outgoing components copy
+the adjacent interior cell.
+
+A run computes the split Jacobians, the energy weights and a padded field
+buffer with its scratch arrays once; a step then works in place on them
+and hands out each new state as a fresh array.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .boundary import (
     assemble_boundary_data,
     boundary_integral,
+    face_weights,
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
@@ -154,17 +161,34 @@ def initial_state(grid: Grid, w0) -> SimState:
     return SimState(t=0.0, w=w)
 
 
-def lyapunov_value(grid: Grid, state, pot: LyapunovPotential | None = None) -> float:
-    """Midpoint quadrature of |w|^2 exp(mu) over the box."""
+def cell_weights(grid: Grid, pot: LyapunovPotential | None) -> np.ndarray:
+    """cell_volume * exp(mu(center)) per cell; a missing weight means mu = 0."""
+    if pot is None:
+        return np.full(grid.cells_per_axis, grid.cell_volume)
+    return grid.cell_volume * np.exp(grid.cell_centers() @ pot.m)
+
+
+def lyapunov_value(weights: np.ndarray, state) -> float:
+    """Midpoint quadrature of |w|^2 exp(mu) over the box, with ``weights``
+    from cell_weights."""
     w = state.w if isinstance(state, SimState) else np.asarray(state, dtype=float)
-    density = np.sum(w * w, axis=-1)
-    if pot is not None:
-        density = density * np.exp(grid.cell_centers() @ pot.m)
-    return float(grid.cell_volume * np.sum(density))
+    rows = w.reshape(-1, w.shape[-1])
+    return float(np.einsum("ci,ci,c->", rows, rows, weights.reshape(-1)))
+
+
+def _split_flux(eig, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """scale * A+ and scale * A- with A+- = T Lambda+- T^T, so A = A+ + A-."""
+    lam = eig.eigenvalues
+    return tuple(
+        scale * ((eig.T * part) @ eig.T.T)
+        for part in (np.maximum(lam, 0.0), np.minimum(lam, 0.0))
+    )
 
 
 class _RunContext:
-    """Precomputed geometry and eigendata shared by all steps of a run."""
+    """What every step of a run shares, computed once: boundary eigendata,
+    the step size, the split axis Jacobians, the energy weights and the
+    working buffers of the sweep."""
 
     def __init__(
         self,
@@ -172,27 +196,38 @@ class _RunContext:
         grid: Grid,
         pot: LyapunovPotential | None,
         control: ControlLaw,
+        t_end: float,
+        cfl: float,
     ) -> None:
         if system.d != grid.d:
             raise SizeMismatch(f"system dimension {system.d} does not match grid {grid.d}")
         self.system = system
         self.grid = grid
-        self.pot = pot
         self.control = control
         self.partition = partition_boundary(
             system, rectangle_faces(grid.cells_per_axis, grid.lengths)
         )
         # Axis sweeps use the pencil along +e_k, the normal of side x_k+.
         # That pencil is A_k itself, so its eigenvalues are the wave speeds
-        # along axis k, and the low-side ghost rows use the same
-        # eigenvectors: one decomposition per axis suffices.
-        self.axis_eigs = self.partition.eigs[1::2]
-        self.rho_max = max(float(np.abs(eig.eigenvalues).max()) for eig in self.axis_eigs)
-
-    def cfl_bound(self, cfl: float) -> float:
-        if self.rho_max == 0.0:
-            return math.inf
-        return cfl * min(self.grid.spacing) / self.rho_max
+        # along axis k: one decomposition per axis suffices.
+        axis_eigs = self.partition.eigs[1::2]
+        # Pure source dynamics has no wave speed: fall back to unit speed.
+        rho_max = max(float(np.abs(eig.eigenvalues).max()) for eig in axis_eigs) or 1.0
+        bound = cfl * min(grid.spacing) / rho_max
+        self.steps = max(1, math.ceil(t_end / bound * (1.0 - 1e-12)))
+        self.dt = t_end / self.steps
+        self.split = tuple(
+            _split_flux(eig, self.dt / h) for eig, h in zip(axis_eigs, grid.spacing)
+        )
+        self.cell_weights = cell_weights(grid, pot)
+        self.face_weights = face_weights(self.partition, pot)
+        # The field with one ghost layer on each side, and scratch for the
+        # differences along one axis and their two flux products.
+        cells = grid.cells_per_axis
+        self.padded = np.zeros(tuple(c + 2 for c in cells) + (system.n,))
+        self.interior = self.padded[(slice(1, -1),) * grid.d]
+        size = system.n * max(math.prod(cells) // c * (c + 1) for c in cells)
+        self.scratch = tuple(np.empty(size) for _ in range(3))
 
 
 def _traces(w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -216,7 +251,7 @@ def _uniform_controls(ctx: _RunContext, state: SimState, traces) -> np.ndarray:
     if not partition.has_inflow() or ctx.control.mode == "zero":
         return values
     if ctx.control.mode == "scalar":
-        level = scalar_feedback_control(partition, traces, ctx.pot, ctx.control.gain)
+        level = scalar_feedback_control(partition, traces, ctx.face_weights, ctx.control.gain)
     else:
         datum = ctx.control.datum
         level = float(datum(state.t)) if callable(datum) else float(datum)
@@ -224,46 +259,58 @@ def _uniform_controls(ctx: _RunContext, state: SimState, traces) -> np.ndarray:
     return values
 
 
-def _axis_sweep(
-    ctx: _RunContext, k: int, w: np.ndarray, ghosts: tuple, dt: float
-) -> np.ndarray:
-    """One upwind transport substep along axis k.
+def _along(d: int, k: int, index) -> tuple:
+    """Index of the padded buffer: ``index`` on axis k, interior elsewhere."""
+    return tuple(index if j == k else slice(1, -1) for j in range(d))
 
-    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+.
+
+def _axis_sweep(ctx: _RunContext, k: int, ghosts: tuple) -> np.ndarray | None:
+    """One upwind transport substep along axis k on the padded buffer.
+
+    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+.  The
+    update is w -= (w - w_prev) dt/h A+ + (w_next - w) dt/h A-, from one
+    array of differences across the k-faces.  Every axis but the last
+    leaves its result in the buffer interior for the next one; the last
+    returns it as a new array.
     """
-    eig = ctx.axis_eigs[k]
-    lam = eig.eigenvalues
-    t = eig.T
-    dx = ctx.grid.spacing[k]
-    g = w @ t
-    edge = g.shape[:k] + (1,) + g.shape[k + 1:]
-    g_low, g_high = ((ghost @ t).reshape(edge) for ghost in ghosts)
-    padded = np.concatenate([g_low, g, g_high], axis=k)
+    d = ctx.grid.d
+    padded = ctx.padded
+    padded[_along(d, k, 0)] = ghosts[0]
+    padded[_along(d, k, -1)] = ghosts[1]
+    shape = list(ctx.grid.cells_per_axis) + [padded.shape[-1]]
+    shape[k] += 1
+    size = math.prod(shape)
+    diff, up, down = (buf[:size].reshape(shape) for buf in ctx.scratch)
+    np.subtract(padded[_along(d, k, slice(1, None))], padded[_along(d, k, slice(None, -1))], out=diff)
+    rows = diff.reshape(-1, shape[-1])
+    plus, minus = ctx.split[k]
+    np.matmul(rows, plus, out=up.reshape(rows.shape))
+    np.matmul(rows, minus, out=down.reshape(rows.shape))
     lead = (slice(None),) * k
-    g_prev = padded[lead + (slice(None, -2),)]
-    g_next = padded[lead + (slice(2, None),)]
-    backward = (g - g_prev) / dx
-    forward = (g_next - g) / dx
-    lam_pos = np.maximum(lam, 0.0)
-    lam_neg = np.minimum(lam, 0.0)
-    flux = lam_pos * backward + lam_neg * forward
-    return w - dt * (flux @ t.T)
+    flux = up[lead + (slice(None, -1),)]
+    np.add(flux, down[lead + (slice(1, None),)], out=flux)
+    if k < d - 1:
+        np.subtract(ctx.interior, flux, out=ctx.interior)
+        return None
+    return ctx.interior - flux
 
 
-def _advance(
-    ctx: _RunContext, state: SimState, dt: float
-) -> tuple[SimState, np.ndarray, tuple]:
-    """One explicit step; returns the new state, the applied controls and
-    the per-side ghost states."""
+def _advance(ctx: _RunContext, state: SimState) -> tuple[SimState, np.ndarray, tuple]:
+    """One explicit step of size ctx.dt; returns the new state, the applied
+    controls and the per-side ghost states.
+
+    The new state's field is a fresh array: snapshots keep earlier states.
+    """
     controls, ghosts = _boundary_data(ctx, state)
-    w = state.w
+    ctx.interior[...] = state.w
     for k in range(ctx.grid.d):
-        w = _axis_sweep(ctx, k, w, ghosts[2 * k : 2 * k + 2], dt)
+        w = _axis_sweep(ctx, k, ghosts[2 * k : 2 * k + 2])
     if ctx.system.source.any():
-        w = w - dt * (w @ ctx.system.source.T)
+        w -= ctx.dt * (w @ ctx.system.source.T)
+    t = state.t + ctx.dt
     if not np.isfinite(w).all():
-        raise NonFinite(f"non-finite field values after the step ending at t = {state.t + dt:.6e}")
-    return SimState(t=state.t + dt, w=w), controls, ghosts
+        raise NonFinite(f"non-finite field values after the step ending at t = {t:.6e}")
+    return SimState(t=t, w=w), controls, ghosts
 
 
 def run(
@@ -280,14 +327,9 @@ def run(
     boundary flux of the applied data, and the control magnitudes."""
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end = {t_end} must be positive")
-    ctx = _RunContext(system, grid, pot, control)
+    ctx = _RunContext(system, grid, pot, control, t_end, cfl)
     state = initial_state(grid, w0)
-
-    bound = ctx.cfl_bound(cfl)
-    if not math.isfinite(bound):
-        bound = cfl * min(grid.spacing)  # pure source dynamics: fall back to unit speed
-    steps = max(1, math.ceil(t_end / bound * (1.0 - 1e-12)))
-    dt = t_end / steps
+    steps = ctx.steps
 
     times = np.empty(steps + 1)
     lyap = np.empty(steps + 1)
@@ -297,10 +339,10 @@ def run(
     queue = sorted(float(s) for s in snapshot_times)
 
     for i in range(steps):
-        new_state, controls, ghosts = _advance(ctx, state, dt)
+        new_state, controls, ghosts = _advance(ctx, state)
         times[i] = state.t
-        lyap[i] = lyapunov_value(grid, state, pot)
-        bnd[i] = boundary_integral(ctx.partition, ghosts, pot)
+        lyap[i] = lyapunov_value(ctx.cell_weights, state)
+        bnd[i] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
         ctrl[i] = controls
         state = new_state
         while queue and state.t >= queue[0] - 1e-12:
@@ -310,8 +352,8 @@ def run(
     # Final row: boundary data that would be applied at t_end.
     controls, ghosts = _boundary_data(ctx, state)
     times[steps] = state.t
-    lyap[steps] = lyapunov_value(grid, state, pot)
-    bnd[steps] = boundary_integral(ctx.partition, ghosts, pot)
+    lyap[steps] = lyapunov_value(ctx.cell_weights, state)
+    bnd[steps] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
     ctrl[steps] = controls
 
     try:

@@ -31,6 +31,11 @@ def toy(supersonic):
     return part, trace
 
 
+def flat(part):
+    """Face weights of mu = 0: the face areas."""
+    return face_weights(part, None)
+
+
 def componentwise_law():
     return build_control(parse_config("control.mode = componentwise\n"))
 
@@ -108,23 +113,23 @@ def test_characteristic_traces_match_closed_form(supersonic, toy):
 def test_boundary_integral_open_loop_frozen(toy):
     part, trace = toy
     # outflow contributes 8 through x1+, the traced x2 faces cancel, x1- is 0
-    assert boundary_integral(part, trace) == pytest.approx(8.0, abs=1e-12)
-    assert boundary_integral(part, [np.zeros((1, 3))] * 4) == 0.0
+    assert boundary_integral(part, trace, flat(part)) == pytest.approx(8.0, abs=1e-12)
+    assert boundary_integral(part, [np.zeros((1, 3))] * 4, flat(part)) == 0.0
 
 
 def test_scalar_feedback_frozen(toy):
     part, trace = toy
     # outflow budget 9, inflow weight total 11
-    u = scalar_feedback_control(part, trace, c=1.0)
+    u = scalar_feedback_control(part, trace, flat(part), c=1.0)
     assert u == pytest.approx(np.sqrt(9.0 / 11.0), rel=1e-12)
-    assert scalar_feedback_control(part, trace, c=-0.5) == pytest.approx(-u / 2.0, rel=1e-12)
+    assert scalar_feedback_control(part, trace, flat(part), c=-0.5) == pytest.approx(-u / 2.0, rel=1e-12)
 
 
 def test_scalar_feedback_saturates_budget(toy):
     part, trace = toy
-    u = scalar_feedback_control(part, trace, c=1.0)
+    u = scalar_feedback_control(part, trace, flat(part), c=1.0)
     ghost = assemble_boundary_data(part, trace, np.full(3, u))
-    assert abs(boundary_integral(part, ghost)) <= 1e-12 * 9.0
+    assert abs(boundary_integral(part, ghost, flat(part))) <= 1e-12 * 9.0
 
 
 def test_componentwise_controls_frozen(toy):
@@ -132,10 +137,10 @@ def test_componentwise_controls_frozen(toy):
     part, trace = toy
     law = componentwise_law()
     assert law == ControlLaw.scalar(1.0)
-    level = scalar_feedback_control(part, trace, c=law.gain)
+    level = scalar_feedback_control(part, trace, flat(part), c=law.gain)
     assert level == pytest.approx(np.sqrt(9.0 / 11.0), rel=1e-12)
     ghost = assemble_boundary_data(part, trace, np.full(3, level))
-    assert abs(boundary_integral(part, ghost)) <= 1e-12 * 9.0
+    assert abs(boundary_integral(part, ghost, flat(part))) <= 1e-12 * 9.0
 
 
 def test_componentwise_skips_characteristics_without_inflow():
@@ -156,7 +161,7 @@ def test_no_inflow_raises():
     part = partition_boundary(sys_, rectangle_faces(grid.cells_per_axis, grid.lengths))
     assert not part.has_inflow()
     with pytest.raises(NoInflow):
-        scalar_feedback_control(part, [np.ones((1, 1))] * 2)
+        scalar_feedback_control(part, [np.ones((1, 1))] * 2, flat(part))
     # the closed loop degrades to all-zero controls instead
     rec = run(sys_, grid, default_bump(grid, 1), FLAT_1D, componentwise_law(), t_end=0.1)
     assert not rec.controls.any()
@@ -164,19 +169,19 @@ def test_no_inflow_raises():
 
 def test_control_inequality(toy):
     part, trace = toy
-    u = scalar_feedback_control(part, trace, c=0.9)
+    u = scalar_feedback_control(part, trace, flat(part), c=0.9)
     controls = [np.where(inflow, u, np.nan)[None, :] for inflow in part.inflow]
-    assert control_inequality_holds(part, controls, trace)
+    assert control_inequality_holds(part, controls, trace, flat(part))
     controls = [np.where(inflow, 5.0, np.nan)[None, :] for inflow in part.inflow]
-    assert not control_inequality_holds(part, controls, trace)
+    assert not control_inequality_holds(part, controls, trace, flat(part))
 
 
 def test_control_inequality_rejects_missing_values(toy):
     part, trace = toy
     with pytest.raises(MissingControl):
-        control_inequality_holds(part, [np.full((1, 3), np.nan)] * 4, trace)
+        control_inequality_holds(part, [np.full((1, 3), np.nan)] * 4, trace, flat(part))
     with pytest.raises(SizeMismatch):
-        control_inequality_holds(part, [np.zeros((1, 2))] * 4, trace)
+        control_inequality_holds(part, [np.zeros((1, 2))] * 4, trace, flat(part))
 
 
 def test_assemble_is_pure_injection(toy):

@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import random_symmetric, random_system
 from hypstab.config import build_control, parse_config
 from hypstab.errors import DegenerateSeries, NonFinite, SizeMismatch
 from hypstab.potential import LyapunovPotential, find_potential
 from hypstab.sim import (
     ControlLaw,
     Grid,
+    _RunContext,
+    _advance,
+    _boundary_data,
+    cell_weights,
     default_bump,
     fit_decay_rate,
     initial_state,
@@ -15,7 +22,8 @@ from hypstab.sim import (
     write_csv,
     write_snapshot,
 )
-from hypstab.sysdef import advection_system
+from hypstab.symlin import SWEEP_RTOL
+from hypstab.sysdef import HyperbolicSystem, advection_system
 
 
 @pytest.fixture
@@ -76,11 +84,11 @@ def test_initial_state_accepts_callable():
 def test_lyapunov_value_frozen():
     g = Grid((10, 10), (1.0, 1.0))
     w = np.ones((10, 10, 2))
-    assert lyapunov_value(g, w) == pytest.approx(2.0, rel=1e-14)
+    assert lyapunov_value(cell_weights(g, None), w) == pytest.approx(2.0, rel=1e-14)
     pot = LyapunovPotential(m=np.array([-1.0, 0.0]), c_a=1.0, c_b=0.0)
     # midpoint quadrature of exp(-x1) on the unit square
     expect = 2.0 * np.sum(np.exp(-(np.arange(10) + 0.5) / 10.0)) / 10.0
-    assert lyapunov_value(g, w, pot) == pytest.approx(expect, rel=1e-13)
+    assert lyapunov_value(cell_weights(g, pot), w) == pytest.approx(expect, rel=1e-13)
 
 
 def test_run_time_step_meets_cfl_bound(supersonic, pot2d):
@@ -137,6 +145,12 @@ def test_run_snapshots(supersonic, pot2d):
     for requested, (t, state) in zip((0.05, 0.15), rec.snapshots):
         assert requested <= t < requested + 2.0 * (0.2 / rec.steps)
         assert state.w.shape == (16, 16, 3)
+    # |w|^2 of each snapshot and of the final state, recorded with the
+    # characteristic-variable sweep: a reused field buffer would move them
+    fields = [state.w for _, state in rec.snapshots] + [rec.final_state.w]
+    for w, expect in zip(fields, (0.9389157981453803, 0.31372507056214466, 0.10275734149090475)):
+        assert np.sum(w * w) == pytest.approx(expect, rel=1e-12)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(fields, 2))
 
 
 def test_run_componentwise_controls_recorded(supersonic, pot2d):
@@ -155,6 +169,72 @@ def test_1d_outflow_empties_the_domain():
     rec = run(sys_, g, default_bump(g, 1), pot, ControlLaw.scalar(0.0), t_end=1.5)
     # everything has left through the right endpoint by t = 1.5
     assert rec.lyapunov[-1] <= 1e-16 * rec.lyapunov[0]
+
+
+def characteristic_sweep(eig, k, w, ghosts, dt, dx):
+    """Reference axis substep in characteristic variables q = w T: upwind
+    differences per family by the sign of its speed, then map back."""
+    lam, t = eig.eigenvalues, eig.T
+    g = w @ t
+    edge = g.shape[:k] + (1,) + g.shape[k + 1:]
+    g_low, g_high = ((ghost @ t).reshape(edge) for ghost in ghosts)
+    padded = np.concatenate([g_low, g, g_high], axis=k)
+    lead = (slice(None),) * k
+    backward = (g - padded[lead + (slice(None, -2),)]) / dx
+    forward = (padded[lead + (slice(2, None),)] - g) / dx
+    flux = np.maximum(lam, 0.0) * backward + np.minimum(lam, 0.0) * forward
+    return w - dt * (flux @ t.T)
+
+
+def random_loop(seed, cells, lengths):
+    """Context and random state of a seeded system with speeds of both
+    signs on every axis, a source, a tilted weight and scalar feedback."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(cells, lengths)
+    d, n = grid.d, 4
+    jac = random_system(rng, d, n).jacobians
+    system = HyperbolicSystem(jac, 0.3 * random_symmetric(rng, n))
+    pot = LyapunovPotential(m=rng.uniform(-1.0, 1.0, d), c_a=1.0, c_b=0.0)
+    ctx = _RunContext(system, grid, pot, ControlLaw.scalar(0.7), t_end=0.05, cfl=0.45)
+    for eig in ctx.partition.eigs:
+        assert eig.eigenvalues.min() < 0.0 < eig.eigenvalues.max()
+    return ctx, initial_state(grid, rng.standard_normal(grid.cells_per_axis + (n,)))
+
+
+LOOPS = [(seed, (13,), (1.0,)) for seed in (1, 2)] + [(seed, (12, 7), (1.0, 0.6)) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("seed, cells, lengths", LOOPS)
+def test_advance_matches_the_characteristic_sweep(seed, cells, lengths):
+    ctx, state = random_loop(seed, cells, lengths)
+    for _ in range(3):
+        before = state.w.copy()
+        _, ghosts = _boundary_data(ctx, state)
+        expect = state.w
+        for k, eig in enumerate(ctx.partition.eigs[1::2]):
+            expect = characteristic_sweep(eig, k, expect, ghosts[2 * k : 2 * k + 2], ctx.dt, ctx.grid.spacing[k])
+        expect = expect - ctx.dt * (expect @ ctx.system.source.T)
+        new, _, _ = _advance(ctx, state)
+        assert np.array_equal(state.w, before)
+        assert new.t == state.t + ctx.dt
+        assert np.abs(new.w - expect).max() <= 1e-13 * np.abs(expect).max()
+        state = new
+
+
+@pytest.mark.parametrize("seed, cells, lengths", LOOPS)
+def test_split_flux_sums_to_the_axis_jacobian(seed, cells, lengths):
+    # Exact up to rounding against the eigendata T Lambda T^T; against A_k
+    # itself only to the tolerance at which the Jacobi sweeps stop.
+    ctx, _ = random_loop(seed, cells, lengths)
+    axes = zip(ctx.partition.eigs[1::2], ctx.system.jacobians, ctx.grid.spacing, ctx.split)
+    for eig, jac, h, (plus, minus) in axes:
+        scale = ctx.dt / h
+        total = (plus + minus) / scale
+        eigen = (eig.T * eig.eigenvalues) @ eig.T.T
+        assert np.abs(total - eigen).max() <= 1e-14 * np.abs(eigen).max()
+        assert np.linalg.norm(total - jac.a) <= SWEEP_RTOL * np.linalg.norm(jac.a)
+        assert np.linalg.eigvalsh(plus).min() >= -1e-14 * scale
+        assert np.linalg.eigvalsh(minus).max() <= 1e-14 * scale
 
 
 def test_fit_decay_rate_exact_exponential():
