@@ -394,16 +394,20 @@ def fit_decay_rate(series) -> float:
     return float(-slope)
 
 
+# Round-trip-safe text of a float.  Python floats from ``tolist`` format
+# faster than numpy scalars, with the same digits.
+_FLOAT17 = "{:.17g}".format
+
+
 def write_csv(record: RunRecord, path) -> None:
     """Telemetry as CSV: t, L, boundary_integral, control_1..control_n."""
     n = record.controls.shape[1]
     header = ["t", "L", "boundary_integral"] + [f"control_{i + 1}" for i in range(n)]
+    table = np.column_stack([record.times, record.lyapunov, record.boundary, record.controls])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(record.times.size):
-            row = [record.times[i], record.lyapunov[i], record.boundary[i]]
-            row.extend(record.controls[i])
-            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(_FLOAT17, row)) + "\n")
 
 
 def write_snapshot(grid: Grid, state: SimState, path) -> None:
@@ -414,9 +418,6 @@ def write_snapshot(grid: Grid, state: SimState, path) -> None:
         n = state.w.shape[-1]
         for c in range(n):
             fh.write(f"# component {c + 1}\n")
-            block = state.w[..., c]
-            if grid.d == 1:
-                fh.write(" ".join(f"{v:.17g}" for v in block) + "\n")
-            else:
-                for row in block:
-                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            block = state.w[..., c].tolist()
+            for row in [block] if grid.d == 1 else block:
+                fh.write(" ".join(map(_FLOAT17, row)) + "\n")

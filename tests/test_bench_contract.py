@@ -4,7 +4,8 @@ The harness in ``bench/`` wraps every public layer function and reads
 size facts from some of them positionally (``bench/spans.py`` TAGS): a
 ``sim.run`` that raises leaves its span untagged and breaks the per-layer
 summary.  One traced ``loop_coarse`` batch checks that the closed loop
-keeps that contract.
+keeps that contract, and one traced ``certify`` batch that the solver and
+the grid oracle do.
 """
 
 from __future__ import annotations
@@ -30,5 +31,32 @@ def test_traced_loop_coarse_batch_keeps_the_span_contract(tmp_path):
     assert layers["sim.steps"] > 0
     assert layers["sim.energy_s"] > 0.0
     assert [o["rc"] for o in batch["ops"]] == [0] * len(ops)
+    failed = [o for o in batch["ops"] if o["failure"] is not None]
+    assert all(o["known_defect"] for o in failed), failed
+
+
+# Exit code of ``check`` per certify config: 2 on the infeasible systems and
+# on the narrow cone (a known defect); ``oracle`` agrees on all of them.
+CERTIFY_CHECK_RC = {
+    "supersonic_euler.cfg": 0,
+    "subsonic_euler.cfg": 2,
+    "narrow_cone.cfg": 2,
+    "feasible_n3.cfg": 0,
+    "infeasible_n3.cfg": 2,
+    "remainder_n6.cfg": 0,
+    "infeasible_n6.cfg": 2,
+    "feasible_n10.cfg": 0,
+}
+
+
+def test_traced_certify_batch_keeps_the_span_contract(tmp_path):
+    import hypstab.cli
+
+    ops = workloads.build("certify", 1, ROOT, tmp_path)
+    references = {id(op.system): checker.reference_verdict(op.system) for op in ops}
+    batch = run.run_batch(hypstab.cli, ops, references, traced=True)
+    assert batch["layers"]["oracle.scan_s"] > 0.0
+    expected = [CERTIFY_CHECK_RC[Path(op.argv[2]).name] if op.command == "check" else 0 for op in ops]
+    assert [o["rc"] for o in batch["ops"]] == expected
     failed = [o for o in batch["ops"] if o["failure"] is not None]
     assert all(o["known_defect"] for o in failed), failed

@@ -272,7 +272,7 @@ def test_missing_or_broken_config_exits_1(tmp_path, capsys):
     assert cli.main(["check", "--config", path]) == 1
 
 
-# Full `check` reports and `run` summaries of the shipped configs.  The
+# Full `check` and `oracle` reports and `run` summaries of the shipped configs.  The
 # digits beyond the solver's tolerance are pinned on purpose: a change that
 # leaves the numerics alone must reproduce them bit for bit.
 SHIPPED_CHECK = {
@@ -300,6 +300,10 @@ C_L = 1
 component 1: inflow faces 1, outflow faces 1
 """),
 }
+SHIPPED_ORACLE = {
+    "supersonic_euler.cfg": (0, "agree: feasible\ngrid witness m = [-10, -10]\n"),
+    "subsonic_euler.cfg": (0, "agree: infeasible\n"),
+}
 SHIPPED_RUN = {
     "supersonic_euler.cfg": (569, 3.57841407452e-36),
     "advection_1d.cfg": (143, 0.000756284303978),
@@ -312,6 +316,9 @@ def test_example_configs_parse_and_check(tmp_path, capsys):
         assert cli.main(["check", "--config", str(root / name)]) == code
         assert capsys.readouterr().out == report
         assert cli.main(["check", "--quiet", "--config", str(root / name)]) == code
+    for name, (code, report) in SHIPPED_ORACLE.items():
+        assert cli.main(["oracle", "--config", str(root / name)]) == code
+        assert capsys.readouterr().out == report
     for name, (steps, lt) in SHIPPED_RUN.items():
         csv = tmp_path / f"{name}.csv"
         assert cli.main(["run", "--config", str(root / name), "--csv", str(csv)]) == 0

@@ -10,6 +10,8 @@ from hypstab.potential import LyapunovPotential, find_potential
 from hypstab.sim import (
     ControlLaw,
     Grid,
+    RunRecord,
+    SimState,
     _RunContext,
     _advance,
     _boundary_data,
@@ -266,6 +268,39 @@ def test_write_csv_roundtrip(tmp_path, supersonic, pot2d):
     assert np.array_equal(data[:, 0], rec.times)
     assert np.array_equal(data[:, 1], rec.lyapunov)
     assert np.array_equal(data[:, 3:], rec.controls)
+
+
+
+# Signed zeros, subnormals, extremes and non-finite values with the text
+# both writers must give them.
+SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, -7.0]
+SPECIAL_TEXT = [
+    "0", "-0", "4.9406564584124654e-324", "-2.2000000000000002e-308", "1.0000000000000001e+300", "-1e-300",
+    "nan", "inf", "-inf", "0.10000000000000001", "0.33333333333333331", "-7",
+]
+
+
+def test_writers_format_special_values(tmp_path):
+    table = np.array(SPECIAL).reshape(4, 3)
+    text = [SPECIAL_TEXT[3 * i : 3 * i + 3] for i in range(4)]
+    rec = RunRecord(
+        times=table[:, 0], lyapunov=table[:, 1], boundary=table[:, 2], controls=table[:, ::-1],
+        final_state=SimState(0.0, table), c_fit=None, c_l=1.0, steps=3,
+    )
+    path = tmp_path / "special.csv"
+    write_csv(rec, path)
+    rows = [",".join(row + row[::-1]) for row in text]
+    expected = "t,L,boundary_integral,control_1,control_2,control_3\n" + "".join(f"{row}\n" for row in rows)
+    assert path.read_text() == expected
+
+    path = tmp_path / "special.txt"
+    words = np.array(SPECIAL_TEXT * 4, dtype=object).reshape(4, 4, 3)
+    write_snapshot(Grid((4, 4), (1.0, 1.0)), SimState(0.25, np.array(SPECIAL * 4).reshape(4, 4, 3)), path)
+    blocks = ["# component %d\n" % (c + 1) + "".join(" ".join(row) + "\n" for row in words[..., c]) for c in range(3)]
+    assert path.read_text() == "# t = 0.25\n# cells = 4 4\n" + "".join(blocks)
+    write_snapshot(Grid((4,), (1.0,)), SimState(0.5, table), path)
+    blocks = [f"# component {c + 1}\n{' '.join(row[c] for row in text)}\n" for c in range(3)]
+    assert path.read_text() == "# t = 0.5\n# cells = 4\n" + "".join(blocks)
 
 
 def test_write_snapshot_format(tmp_path):
