@@ -1,7 +1,7 @@
-"""Command-line front end: feasibility reports, simulations, oracle cross-checks.
+"""Command-line front end: feasibility reports, simulations, certificate checks.
 
-Exit codes: 0 success/feasible/agreement, 1 bad config, 2 infeasible,
-3 simulation failure, 4 solver/oracle disagreement.
+Exit codes: 0 success/feasible/certificate holds, 1 bad config, 2 infeasible,
+3 simulation failure, 4 the solver's certificate fails its check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .boundary import partition_boundary, rectangle_faces
 from .config import ScenarioConfig, build_control, build_grid, build_system, load_config
 from .errors import ConfigError, HypstabError
-from .oracle import brute_force_feasible
+from .oracle import weight_holds, witness_holds
 from .potential import (
     Infeasible,
     LyapunovPotential,
@@ -30,12 +30,19 @@ def _fmt_vec(v: np.ndarray) -> str:
     return "[" + ", ".join(f"{x:.12g}" for x in v) + "]"
 
 
+def _solve_plain(cfg: ScenarioConfig, system):
+    c_b = estimate_source_bound(system)
+    c_a = cfg.lmi.c_a_override
+    if c_a is not None and not c_a > c_b:
+        raise ConfigError(f"lmi.C_A_override = {c_a:.12g} does not exceed the source bound C_B = {c_b:.12g}")
+    return find_potential(system, c_b, c_a_override=c_a)
+
+
 def _solve_potential(cfg: ScenarioConfig, system):
     if cfg.lmi.mode == "with_remainder":
         c_a = cfg.lmi.c_a_override if cfg.lmi.c_a_override is not None else 1.0
         return find_potential_with_remainder(system, c_a=c_a)
-    c_b = estimate_source_bound(system)
-    return find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override)
+    return _solve_plain(cfg, system)
 
 
 def cmd_check(cfg: ScenarioConfig, quiet: bool) -> int:
@@ -106,26 +113,21 @@ def cmd_run(cfg: ScenarioConfig, quiet: bool, csv_override: str | None) -> int:
 
 def cmd_oracle(cfg: ScenarioConfig, quiet: bool) -> int:
     system = build_system(cfg)
-    if system.d != 2:
-        raise ConfigError(f"oracle cross-check needs d = 2, got d = {system.d}")
-    # Always the plain inequality: that is what the grid scan tests.
-    c_b = estimate_source_bound(system)
-    result = find_potential(system, c_b, c_a_override=cfg.lmi.c_a_override)
-    solver_feasible = isinstance(result, LyapunovPotential)
-    c = result.c_a if solver_feasible else 1.0
-    grid_feasible, witness = brute_force_feasible(system, c=c)
+    # Always the plain inequality: that is the one the witness certifies.
+    result = _solve_plain(cfg, system)
+    if isinstance(result, LyapunovPotential):
+        verdict, holds = "feasible", weight_holds(system, result.m, result.c_a)
+    else:
+        verdict, holds = "infeasible", witness_holds(system, result.vectors, result.weights)
 
     say = (lambda *_: None) if quiet else print
-    if solver_feasible == grid_feasible:
-        say(f"agree: {'feasible' if solver_feasible else 'infeasible'}")
-        if witness is not None:
-            say(f"grid witness m = {_fmt_vec(witness)}")
-        return 0
-    say(
-        f"DISAGREE: solver says {'feasible' if solver_feasible else 'infeasible'}, "
-        f"grid scan says {'feasible' if grid_feasible else 'infeasible'}"
-    )
-    return 4
+    if not holds:
+        say(f"DISAGREE: solver says {verdict}, but its certificate fails the check")
+        return 4
+    say(f"agree: {verdict}")
+    if isinstance(result, LyapunovPotential):
+        say(f"grid witness m = {_fmt_vec(result.m)}")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "oracle",
         parents=[common],
-        help="cross-check the certificate search against a brute-force weight grid",
+        help="check the solver's certificate (a weight or a dual witness) with LAPACK",
     )
     return parser
 

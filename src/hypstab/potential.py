@@ -19,6 +19,14 @@ over the stacked pencils of all scanned directions, and one-row stacks
 during refinement.  Every certificate it returns is then verified with the
 package's Jacobi solver (``lmi_check``), which the direction search does
 not use.
+
+When no scanned direction is feasible, the search looks for the dual
+certificate instead.  Each unit top eigenvector v of a pencil gives an atom
+(v^T A_1 v, ..., v^T A_d v) of the joint numerical range K, and the weight
+inequality has a solution iff 0 lies outside the convex set K (the LMI
+theorem of alternatives).  A convex combination of atoms that vanishes is
+therefore a witness of infeasibility; Kelley cutting planes add atoms until
+one is found or a feasible direction turns up.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ LMI_SLACK_RTOL = 1e-10
 SCALING_MARGIN = 1e-3
 # Direction-scan resolution.
 SCAN_COUNT_2D = 720
+# A direction counts as feasible when phi < -tol and a witness as vanishing
+# when its combination is within tol of 0, tol = WITNESS_RTOL * (1 + max_k
+# sum|A_k|): 100 times tighter than the check in ``hypstab.oracle``.
+WITNESS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,11 +84,20 @@ class LyapunovPotential:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Certificate that no linear weight works: the least achievable
-    pencil maximum eigenvalue over all unit directions, and where."""
+    """Refusal: the least pencil maximum eigenvalue the direction scan
+    achieved, and where, with a dual witness when one was found.
+
+    The witness is unit vectors v_j (rows of ``vectors``) and weights
+    alpha_j >= 0 summing to 1 with sum_j alpha_j v_j^T A_k v_j = 0 (within
+    tolerance) for every k.  Then sum_j alpha_j v_j^T (c Id + sum_k m_k A_k) v_j
+    = c > 0 for every m, so no weight satisfies the plain weight inequality.
+    It certifies nothing about the remainder-absorbing variant.
+    """
 
     best_direction: np.ndarray
     best_value: float
+    vectors: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
 
 def _combination(system: HyperbolicSystem, m: np.ndarray) -> np.ndarray:
@@ -132,6 +153,19 @@ def _pencil_top_eigs(system: HyperbolicSystem, dirs: np.ndarray) -> np.ndarray:
     from one batched LAPACK call over the stacked pencils."""
     jacobians = np.stack([jac.a for jac in system.jacobians])
     return np.linalg.eigvalsh(np.einsum("ik,kab->iab", dirs, jacobians))[:, -1]
+
+
+def _top_atoms(system: HyperbolicSystem, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, a unit top eigenvector v and its atom (v^T A_k v)_k at each row
+    of dirs, from one batched LAPACK call.
+
+    The atom g is a Kelley cut: lambda_max(c Id + sum_k m_k A_k) >= c + g . m
+    for every m (the Rayleigh bound), with equality at m = dirs[i], c = 0.
+    """
+    jacobians = np.stack([jac.a for jac in system.jacobians])
+    values, vecs = np.linalg.eigh(np.einsum("ik,kab->iab", dirs, jacobians))
+    v = vecs[:, :, -1]
+    return values[:, -1], v, np.einsum("ia,kab,ib->ik", v, jacobians, v)
 
 
 def _pencil_max_eig(system: HyperbolicSystem, direction: np.ndarray) -> float:
@@ -190,6 +224,55 @@ def _best_direction(system: HyperbolicSystem) -> tuple[np.ndarray, float]:
     return direction, value
 
 
+def _nearest(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over all segments between two atoms (a single atom counts), the point
+    nearest 0, as the two atoms' indices, their weights and the point."""
+    i, j = np.triu_indices(len(atoms))
+    start, step = atoms[i], atoms[j] - atoms[i]
+    length = np.einsum("pk,pk->p", step, step)
+    t = np.clip(-np.einsum("pk,pk->p", start, step) / np.where(length > 0.0, length, 1.0), 0.0, 1.0)
+    points = start + t[:, None] * step
+    best = int(np.argmin(np.einsum("pk,pk->p", points, points)))
+    return np.array([i[best], j[best]]), np.array([1.0 - t[best], t[best]]), points[best]
+
+
+def _direction_or_witness(system: HyperbolicSystem) -> tuple[np.ndarray, float] | Infeasible:
+    """A unit direction with phi < -tol and phi there, or a refusal.
+
+    The scan's best direction is kept whenever it qualifies.  Otherwise the
+    atoms of the pencils along +-e_k seed Kelley's cutting-plane method in
+    the form of Gilbert, Johnson & Keerthi (1988): with x the point nearest
+    0 of the hull of at most three atoms kept, the cuts bound phi below by
+    -|x|, at u = -x/|x|.  That is the next direction tried; if it is not
+    feasible, its atom joins the two atoms spanning x.  The search stops at
+    a feasible direction, at x within tol of 0 or at three atoms whose
+    triangle holds 0; it gives up, without a witness, after 200 cuts.
+    """
+    direction, value = _best_direction(system)
+    tol = WITNESS_RTOL * (1.0 + max(np.abs(jac.a).sum() for jac in system.jacobians))
+    # exactly sonic systems scan to phi = -1e-16, which is no feasible direction
+    if value < -tol:
+        return direction, value
+
+    _, vectors, atoms = _top_atoms(system, np.vstack([np.eye(system.d), -np.eye(system.d)]))
+    for _ in range(200):
+        picks, weights, point = _nearest(atoms)
+        if np.linalg.norm(point) <= tol:
+            return Infeasible(direction, value, vectors[picks], weights)
+        probe = -point / np.linalg.norm(point)
+        phi, v, atom = _top_atoms(system, probe[None])
+        if phi[0] < -tol:
+            return probe, float(phi[0])
+        vectors, atoms = np.vstack([vectors[picks], v]), np.vstack([atoms[picks], atom])
+        # in the plane, 0 has barycentric coordinates in the kept triangle (a, b, c)
+        # proportional to the signed areas of (0, b, c), (0, c, a) and (0, a, b)
+        b, c = np.roll(atoms, -1, axis=0), np.roll(atoms, -2, axis=0)
+        areas = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0] if system.d == 2 else np.zeros(3)
+        if areas.sum() != 0.0 and ((areas >= 0.0).all() or (areas <= 0.0).all()):
+            return Infeasible(direction, value, vectors, areas / areas.sum())
+    return Infeasible(best_direction=direction, best_value=value)
+
+
 def find_potential(
     system: HyperbolicSystem,
     c_b: float,
@@ -201,17 +284,16 @@ def find_potential(
     locally, and exploits homogeneity: if phi* < 0 the inequality holds for
     m = |m| m_hat with |m| = c_a / (-phi*), padded by a small margin.
     c_a defaults to 1 for c_b = 0 and to 2 c_b + 1 otherwise, keeping
-    c_l = c_a - c_b strictly positive.
+    c_l = c_a - c_b strictly positive; an override must exceed c_b.
     """
     if c_b < 0.0:
         raise ValueError(f"c_b = {c_b} must be nonnegative")
-    direction, value = _best_direction(system)
-    if not value < 0.0:
-        return Infeasible(best_direction=direction, best_value=value)
-
     c_a = float(c_a_override) if c_a_override is not None else (1.0 if c_b == 0.0 else 2.0 * c_b + 1.0)
     if not c_a > c_b:
-        return Infeasible(best_direction=direction, best_value=value)
+        raise ValueError(f"c_a = {c_a} must exceed c_b = {c_b}")
+    if isinstance(found := _direction_or_witness(system), Infeasible):
+        return found
+    direction, value = found
     magnitude = c_a / (-value) * (1.0 + SCALING_MARGIN)
     m = magnitude * direction
     # By construction max_eig(c_a Id + sum m_k A_k) = -SCALING_MARGIN * c_a < 0.
@@ -238,10 +320,9 @@ def find_potential_with_remainder(
     if lmi_check_with_remainder(system, zero, c_a):
         return LyapunovPotential(m=zero.copy(), c_a=c_a, c_b=0.0)
 
-    direction, value = _best_direction(system)
-    if not value < 0.0:
-        return Infeasible(best_direction=direction, best_value=value)
-
+    if isinstance(found := _direction_or_witness(system), Infeasible):
+        return found
+    direction, value = found
     remainder_top = max_eigenvalue(SymMatrix(remainder_matrix(system)))
     magnitude = max(remainder_top + c_a, SCALING_MARGIN * c_a) / (-value) * (1.0 + SCALING_MARGIN)
     for _ in range(60):

@@ -21,7 +21,7 @@ from hypstab.boundary import (
     scalar_feedback_control,
 )
 from hypstab.config import build_control, parse_config
-from hypstab.oracle import brute_force_feasible
+from hypstab.oracle import weight_holds, witness_holds
 from hypstab.potential import Infeasible, LyapunovPotential, find_potential, lmi_check
 from hypstab.sim import ControlLaw, Grid, default_bump, run
 from hypstab.symlin import SymMatrix, assemble_pencil, eigendecompose
@@ -32,7 +32,7 @@ from hypstab.sysdef import (
     euler_symmetrized,
 )
 
-from conftest import random_symmetric, random_system
+from conftest import full_grid_scan, random_symmetric, random_system
 
 
 def random_scenario(rng: np.random.Generator) -> EulerScenario:
@@ -89,10 +89,11 @@ def test_criterion_2_orthogonality_and_residual():
 
 def test_criterion_3_solver_agrees_with_grid_oracle():
     t0 = time.perf_counter()
-    # Seed picked so that no drawn system needs a weight magnitude beyond
-    # the oracle's scan window |m| <= 10 and no infeasible one sits within
-    # 1e-6 of the feasibility boundary; borderline draws would make the
-    # two routes incomparable rather than one of them wrong.
+    # The reference is the full grid scan of conftest.  Seed picked so that
+    # no drawn system needs a weight magnitude beyond its window |m| <= 10
+    # and no infeasible one sits within 1e-6 of the feasibility boundary;
+    # borderline draws would make the two routes incomparable rather than
+    # one of them wrong.
     rng = np.random.default_rng(3030)
     disagreements = 0
     feasible = 0
@@ -100,15 +101,17 @@ def test_criterion_3_solver_agrees_with_grid_oracle():
         system = random_system(rng, 2, int(rng.integers(1, 4)))
         res = find_potential(system, 0.0, c_a_override=1.0)
         solver_feasible = isinstance(res, LyapunovPotential)
-        grid_feasible, witness = brute_force_feasible(system, c=1.0)
+        grid_feasible, witness = full_grid_scan(system, c=1.0)
         if solver_feasible != grid_feasible:
             disagreements += 1
         if solver_feasible:
             feasible += 1
             assert np.abs(res.m).max() <= 10.0
             assert lmi_check(system, res.m, 1.0)
+            assert weight_holds(system, res.m, 1.0)
         else:
             assert res.best_value >= 1e-6
+            assert witness_holds(system, res.vectors, res.weights)
         if witness is not None:
             assert lmi_check(system, witness, 1.0)
     elapsed = time.perf_counter() - t0

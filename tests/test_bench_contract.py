@@ -5,7 +5,7 @@ size facts from some of them positionally (``bench/spans.py`` TAGS): a
 ``sim.run`` that raises leaves its span untagged and breaks the per-layer
 summary.  One traced ``loop_coarse`` batch checks that the closed loop
 keeps that contract, and one traced ``certify`` batch that the solver and
-the grid oracle do.
+the certificate checks do.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ def test_traced_loop_coarse_batch_keeps_the_span_contract(tmp_path):
     assert all(o["known_defect"] for o in failed), failed
 
 
-# Exit code of ``check`` per certify config: 2 on the infeasible systems and
-# on the narrow cone (a known defect); ``oracle`` agrees on all of them.
+# Exit code of ``check`` per certify config: 2 on the infeasible systems;
+# ``oracle`` accepts every certificate.
 CERTIFY_CHECK_RC = {
     "supersonic_euler.cfg": 0,
     "subsonic_euler.cfg": 2,
-    "narrow_cone.cfg": 2,
+    "narrow_cone.cfg": 0,
     "feasible_n3.cfg": 0,
     "infeasible_n3.cfg": 2,
     "remainder_n6.cfg": 0,
@@ -55,8 +55,7 @@ def test_traced_certify_batch_keeps_the_span_contract(tmp_path):
     ops = workloads.build("certify", 1, ROOT, tmp_path)
     references = {id(op.system): checker.reference_verdict(op.system) for op in ops}
     batch = run.run_batch(hypstab.cli, ops, references, traced=True)
-    assert batch["layers"]["oracle.scan_s"] > 0.0
+    assert batch["layers"]["oracle.self_s"] > 0.0
     expected = [CERTIFY_CHECK_RC[Path(op.argv[2]).name] if op.command == "check" else 0 for op in ops]
     assert [o["rc"] for o in batch["ops"]] == expected
-    failed = [o for o in batch["ops"] if o["failure"] is not None]
-    assert all(o["known_defect"] for o in failed), failed
+    assert [o for o in batch["ops"] if o["failure"] is not None] == []

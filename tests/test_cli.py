@@ -14,6 +14,7 @@ from hypstab.config import (
     serialize_config,
 )
 from hypstab.errors import ConfigError
+from hypstab.potential import LyapunovPotential
 
 SUPERSONIC = """
 system.kind = euler
@@ -248,20 +249,51 @@ def test_oracle_agreement(tmp_path, capsys):
 
 
 def test_oracle_disagreement_exit_code(tmp_path, monkeypatch, capsys):
-    # force the grid route to lie so the disagreement branch is observable
-    monkeypatch.setattr(cli, "brute_force_feasible", lambda system, c: (False, None))
+    # feed the check a tampered certificate: the solver's weight, negated
+    solve = cli._solve_plain
+
+    def tampered(cfg, system):
+        pot = solve(cfg, system)
+        return LyapunovPotential(m=-pot.m, c_a=pot.c_a, c_b=pot.c_b)
+
+    monkeypatch.setattr(cli, "_solve_plain", tampered)
     path = write_cfg(tmp_path, SUPERSONIC.format(csv=tmp_path / "t.csv"))
     assert cli.main(["oracle", "--config", path]) == 4
     assert "DISAGREE" in capsys.readouterr().out
 
 
-def test_oracle_rejects_1d(tmp_path):
+@pytest.mark.parametrize(
+    "n, jacobian, report",
+    [
+        (1, "[[[1.0]]]", "agree: feasible\ngrid witness m = [-1.001]\n"),
+        (2, "[[[1.0, 0.0], [0.0, -1.0]]]", "agree: infeasible\n"),
+    ],
+    ids=["feasible", "infeasible"],
+)
+def test_oracle_1d_agreement(tmp_path, capsys, n, jacobian, report):
     path = write_cfg(
         tmp_path,
-        "system.kind = explicit\nsystem.explicit.d = 1\nsystem.explicit.n = 1\n"
-        "system.explicit.jacobians = [[[1.0]]]\n",
+        f"system.kind = explicit\nsystem.explicit.d = 1\nsystem.explicit.n = {n}\n"
+        f"system.explicit.jacobians = {jacobian}\n",
     )
-    assert cli.main(["oracle", "--config", path]) == 1
+    assert cli.main(["oracle", "--config", path]) == 0
+    assert capsys.readouterr().out == report
+
+
+def test_c_a_override_at_the_source_bound_is_a_config_error(tmp_path, capsys):
+    # source -0.5 I gives C_B = 1, so the override 0.5 cannot certify decay
+    path = write_cfg(
+        tmp_path,
+        "system.kind = explicit\nsystem.explicit.d = 2\nsystem.explicit.n = 2\n"
+        "system.explicit.jacobians = [[[2.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.25]]]\n"
+        "system.explicit.source = [[-0.5, 0.0], [0.0, -0.5]]\n"
+        f"lmi.C_A_override = 0.5\noutput.csv_path = {tmp_path / 't.csv'}\n",
+    )
+    for command in ("check", "run", "oracle"):
+        assert cli.main([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lmi.C_A_override = 0.5 does not exceed the source bound C_B = 1" in captured.err
 
 
 def test_missing_or_broken_config_exits_1(tmp_path, capsys):
@@ -301,7 +333,7 @@ component 1: inflow faces 1, outflow faces 1
 """),
 }
 SHIPPED_ORACLE = {
-    "supersonic_euler.cfg": (0, "agree: feasible\ngrid witness m = [-10, -10]\n"),
+    "supersonic_euler.cfg": (0, "agree: feasible\ngrid witness m = [-0.5005, -5.27358448265e-09]\n"),
     "subsonic_euler.cfg": (0, "agree: infeasible\n"),
 }
 SHIPPED_RUN = {

@@ -1,8 +1,10 @@
-"""The pruned grid oracle against the full grid scan it replaces.
+"""The solver's certificates against the checks of ``hypstab.oracle``.
 
-``full_grid_scan`` evaluates every one of the 401**2 grid points in chunks
-of rows, as the oracle did before it used Rayleigh cuts; the oracle must
-return the same verdict and the same first witness, bit for bit.
+Every verdict must carry a certificate that its check accepts: a weight m
+for ``weight_holds`` or a dual witness for ``witness_holds``, and the checks
+must reject tampered certificates.  The full 401**2 grid scan of conftest is
+a one-sided reference: a grid point that passes proves feasibility, and a
+miss says nothing beyond its window |m| <= 10.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import random_symmetric, random_system
-from hypstab import oracle
+from conftest import full_grid_scan, random_symmetric, random_system
 from hypstab.config import build_system, parse_config
-from hypstab.oracle import GRID_POINTS, brute_force_feasible, rayleigh_cuts
+from hypstab.oracle import weight_holds, witness_holds
+from hypstab.potential import WITNESS_RTOL, LyapunovPotential, _top_atoms, find_potential
 from hypstab.symlin import SymMatrix
 from hypstab.sysdef import EulerScenario, HyperbolicSystem, euler_symmetrized
 
@@ -24,28 +26,9 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 NARROW_CONE_SPEEDS = ((0.3498, 0.426), (-1.4986, -1.8225), (-0.9026, -1.0948))
 
 
-def full_grid_scan(system, c=1.0, m_max=10.0, points=GRID_POINTS, chunk_rows=64):
-    """Reference: test all grid points, first hit in row-major order."""
-    a1 = system.jacobians[0].a
-    a2 = system.jacobians[1].a
-    n = a1.shape[0]
-    axis = np.linspace(-m_max, m_max, points)
-    slack = 1e-10 * (1.0 + c)
-    eye = c * np.eye(n)
-    for start in range(0, points, chunk_rows):
-        m1 = axis[start : start + chunk_rows]
-        block = (eye + m1[:, None, None, None] * a1 + axis[None, :, None, None] * a2).reshape(-1, n, n)
-        top = np.linalg.eigvalsh(block)[:, -1]
-        hits = np.flatnonzero(top <= slack)
-        if hits.size:
-            i, j = divmod(int(hits[0]), points)
-            return True, np.array([m1[i], axis[j]])
-    return False, None
-
-
-def explicit(a1, a2) -> HyperbolicSystem:
-    a1, a2 = (a1 + a1.T) / 2.0, (a2 + a2.T) / 2.0
-    return HyperbolicSystem((SymMatrix(a1), SymMatrix(a2)), np.zeros(a1.shape), label="explicit")
+def explicit(*jacobians) -> HyperbolicSystem:
+    jacobians = [(a + a.T) / 2.0 for a in jacobians]
+    return HyperbolicSystem(tuple(SymMatrix(a) for a in jacobians), np.zeros(jacobians[0].shape), label="explicit")
 
 
 def _orthogonal(rng, n):
@@ -89,7 +72,8 @@ def scaled(seed, factor):
     return explicit(factor * base.jacobians[0].a, factor * base.jacobians[1].a)
 
 
-SYSTEMS = {
+# Two-dimensional systems that the grid reference can scan.
+GRID_SYSTEMS = {
     "supersonic_euler.cfg": lambda: shipped("supersonic_euler.cfg"),
     "subsonic_euler.cfg": lambda: shipped("subsonic_euler.cfg"),
     **{f"euler_{r}": (lambda r=r: euler(r)) for r in (0.95, 0.999, 1.001, 1.05)},
@@ -99,62 +83,153 @@ SYSTEMS = {
     "scaled_1e-3": lambda: scaled(5, 1e-3),
     "scaled_1e3": lambda: scaled(6, 1e3),
 }
+SYSTEMS = {
+    **GRID_SYSTEMS,
+    **{f"zero_d{d}": (lambda d=d: explicit(*[np.zeros((2, 2))] * d)) for d in (1, 2)},
+    "advection_1d": lambda: explicit(np.array([[-0.7]])),
+    "split_1d": lambda: explicit(np.diag([1.0, -0.25, 0.5])),
+    "advection_1d.cfg": lambda: shipped("advection_1d.cfg"),
+    # exactly sonic: 0 lies on the boundary of K, so no weight exists
+    **{f"sonic_{k}": (lambda k=k: euler(1.0, a_bar=1.3, angle=2.0 * np.pi * k / 13)) for k in range(13)},
+}
+
+
+def certificate_holds(system, result) -> bool:
+    if isinstance(result, LyapunovPotential):
+        return weight_holds(system, result.m, result.c_a)
+    return witness_holds(system, result.vectors, result.weights)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_verdict_passes_its_check(name):
+    system = SYSTEMS[name]()
+    for c_a in (None, 0.37):
+        assert certificate_holds(system, find_potential(system, 0.0, c_a_override=c_a))
 
 
 @pytest.mark.parametrize("c", [1.0, 0.37])
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("name", sorted(GRID_SYSTEMS))
 def test_matches_the_full_grid_scan(name, c):
-    system = SYSTEMS[name]()
-    feasible, witness = brute_force_feasible(system, c=c)
-    ref_feasible, ref_witness = full_grid_scan(system, c=c)
-    assert feasible == ref_feasible
-    if ref_witness is None:
-        assert witness is None
-    else:
-        assert np.array_equal(witness, ref_witness)
+    """The verdicts agree wherever the grid can see: the grid finds a weight
+    exactly when the solver's weight lies within its window."""
+    system = GRID_SYSTEMS[name]()
+    result = find_potential(system, 0.0, c_a_override=c)
+    grid_feasible, witness = full_grid_scan(system, c=c)
+    feasible = isinstance(result, LyapunovPotential)
+    assert grid_feasible == (feasible and np.abs(result.m).max() <= 10.0)
+    assert certificate_holds(system, result)
+    if witness is not None:
+        assert weight_holds(system, witness, c)
 
 
 def test_both_verdicts_are_covered():
-    verdicts = {name: brute_force_feasible(make())[0] for name, make in SYSTEMS.items()}
-    assert verdicts["supersonic_euler.cfg"] and verdicts["feasible_n10"]
-    assert not verdicts["subsonic_euler.cfg"] and not verdicts["infeasible_n10"]
-    assert not verdicts["narrow_cone"]  # the |m| <= 10 blind spot remains
+    verdicts = {name: isinstance(find_potential(make(), 0.0), LyapunovPotential) for name, make in SYSTEMS.items()}
+    assert verdicts["supersonic_euler.cfg"] and verdicts["feasible_n10"] and verdicts["advection_1d"]
+    assert not verdicts["subsonic_euler.cfg"] and not verdicts["infeasible_n10"] and not verdicts["split_1d"]
+    assert not any(verdicts[f"sonic_{k}"] for k in range(13))
+    assert not verdicts["zero_d1"] and not verdicts["zero_d2"]
+    # feasible, with a weight far outside the grid reference's window
+    assert verdicts["narrow_cone"]
+    assert np.abs(find_potential(SYSTEMS["narrow_cone"](), 0.0).m).max() > 1000.0
 
 
 @pytest.mark.parametrize("name", ["supersonic_euler.cfg", "euler_0.999", "infeasible_n6", "scaled_1e3", "narrow_cone"])
 def test_cuts_bound_the_top_eigenvalue(name):
+    """Each atom the witness search uses is a Kelley cut: c + g . m bounds
+    lambda_max(c*Id + sum_k m_k A_k) below, and touches it at g's direction."""
     system = SYSTEMS[name]()
     a1, a2 = (j.a for j in system.jacobians)
+    theta = 2.0 * np.pi * np.arange(32) / 32
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    phi, _, atoms = _top_atoms(system, dirs)
     rng = np.random.default_rng(17)
-    axis = np.linspace(-10.0, 10.0, GRID_POINTS)
-    m = axis[rng.integers(GRID_POINTS, size=(200, 2))]
+    m = rng.uniform(-10.0, 10.0, (200, 2))
     c = 0.37
     top = np.linalg.eigvalsh(c * np.eye(a1.shape[0]) + m[:, :1, None] * a1 + m[:, 1:, None] * a2)[:, -1]
-    cuts = c + m @ rayleigh_cuts(a1, a2).T  # (points, cuts)
-    # 1000 times tighter than the margin the oracle allows for rounding
     scale = 1.0 + c + 10.0 * (np.abs(a1).sum() + np.abs(a2).sum())
-    assert (cuts <= top[:, None] + 1e-12 * scale).all()
-
-
-@pytest.mark.parametrize(
-    "name, limit",
-    [("subsonic_euler.cfg", 0), ("infeasible_n6", 0), ("supersonic_euler.cfg", GRID_POINTS), ("feasible_n10", GRID_POINTS)],
-)
-def test_evaluates_almost_none_of_the_grid(name, limit, monkeypatch):
-    system = SYSTEMS[name]()
-    evaluated = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        evaluated.append(np.shape(a)[0])
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", counting)
-    feasible, _ = brute_force_feasible(system)
-    assert feasible == (limit > 0)
-    assert sum(evaluated) <= limit
+    assert (c + m @ atoms.T <= top[:, None] + 1e-12 * scale).all()
+    assert np.abs(np.einsum("ik,ik->i", atoms, dirs) - phi).max() <= 1e-12 * scale
 
 
 def test_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        brute_force_feasible(random_system(np.random.default_rng(0), 1, 2))
+    system = SYSTEMS["supersonic_euler.cfg"]()
+    result = find_potential(SYSTEMS["subsonic_euler.cfg"](), 0.0)
+    vectors, weights = result.vectors, result.weights
+    assert witness_holds(SYSTEMS["subsonic_euler.cfg"](), vectors, weights)
+    assert not weight_holds(system, [-1.0], 1.0)
+    assert not weight_holds(system, [-1.0, 0.0, 0.0], 1.0)
+    assert not weight_holds(system, [[-1.0, 0.0]], 1.0)
+    assert not witness_holds(SYSTEMS["advection_1d"](), vectors, weights)
+    assert not witness_holds(SYSTEMS["infeasible_n6"](), vectors, weights)
+    assert not witness_holds(system, vectors[:, :2], weights)
+    assert not witness_holds(system, vectors, weights[:-1])
+    assert not witness_holds(system, vectors[:0], weights[:0])
+    assert not witness_holds(system, None, None)
+
+
+def test_tampered_certificates_are_rejected():
+    feasible = SYSTEMS["supersonic_euler.cfg"]()
+    pot = find_potential(feasible, 0.0)
+    assert weight_holds(feasible, pot.m, pot.c_a)
+    assert not weight_holds(feasible, -pot.m, pot.c_a)
+    assert not weight_holds(feasible, 0.99 * pot.m, pot.c_a)
+    assert not weight_holds(feasible, np.full(2, np.nan), pot.c_a)
+
+    system = SYSTEMS["infeasible_n3"]()
+    res = find_potential(system, 0.0)
+    vectors, weights = res.vectors, res.weights
+    assert witness_holds(system, vectors, weights)
+    # a negative weight on a repeated vector leaves the combination and the sum unchanged
+    repeated = np.vstack([vectors, vectors[:1]])
+    assert witness_holds(system, repeated, np.append(weights, 0.0))
+    assert not witness_holds(system, repeated, np.append(weights + np.eye(weights.size)[0] * 0.25, -0.25))
+    assert not witness_holds(system, vectors, 1.01 * weights)
+    assert not witness_holds(system, 1.001 * vectors, weights)
+    assert not witness_holds(system, vectors, np.full(weights.shape, np.nan))
+    assert not witness_holds(system, np.full(vectors.shape, np.nan), weights)
+    # another system's witness: same shapes, but its combination does not vanish here
+    other = find_potential(SYSTEMS["subsonic_euler.cfg"](), 0.0)
+    assert not witness_holds(system, other.vectors, other.weights)
+    assert not witness_holds(SYSTEMS["subsonic_euler.cfg"](), vectors, weights)
+
+
+def test_shifted_stress_set_verdicts_hold():
+    """Random systems shifted by A_k -> A_k - p_k Id, which moves K by -p.
+    With p = g + depth*u for g the atom at direction u, 0 lies at distance
+    depth outside K; with p a point between g and an interior atom
+    combination, 0 lies in K.  Depths span 1e-10 to 1."""
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        n = int(rng.integers(1, 11))
+        jacobians = [random_symmetric(rng, n) for _ in range(2)]
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        _, _, g = _top_atoms(explicit(*jacobians), u[None])
+        _, _, others = _top_atoms(explicit(*jacobians), rng.normal(size=(3, 2)))
+        depth = 10.0 ** rng.uniform(-10.0, 0.0)
+        outside = bool(rng.integers(2))
+        if outside:
+            p = g[0] + depth * u
+        else:
+            inner = others.mean(axis=0) - g[0]
+            p = g[0] + min(1.0, depth / max(np.linalg.norm(inner), 1e-300)) * inner
+        system = explicit(*(a - pk * np.eye(n) for a, pk in zip(jacobians, p)))
+        result = find_potential(system, 0.0)
+        assert certificate_holds(system, result)
+        if not outside:
+            assert not isinstance(result, LyapunovPotential)
+        elif depth > WITNESS_RTOL * (1.0 + max(np.abs(j.a).sum() for j in system.jacobians)):
+            assert isinstance(result, LyapunovPotential)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_verdict_is_invariant_under_scaling_and_rotation(name):
+    system = SYSTEMS[name]()
+    verdict = isinstance(find_potential(system, 0.0), LyapunovPotential)
+    rng = np.random.default_rng(99)
+    q = _orthogonal(rng, system.n)
+    for s in (1e-3, 7.0, 1e3):
+        moved = explicit(*(s * q.T @ jac.a @ q for jac in system.jacobians))
+        result = find_potential(moved, 0.0)
+        assert isinstance(result, LyapunovPotential) == verdict
+        assert certificate_holds(moved, result)

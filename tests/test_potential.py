@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hypstab.errors import SizeMismatch
-from hypstab.oracle import brute_force_feasible
 from hypstab.potential import (
     Infeasible,
     LyapunovPotential,
@@ -97,7 +96,8 @@ def test_c_a_override(supersonic):
     assert pot.c_a == 0.25 and pot.c_l == 0.25
     assert np.linalg.norm(pot.m) == pytest.approx(0.25 / 2.0 * 1.001, rel=1e-9)
     # an override at or below the source bound cannot certify decay
-    assert isinstance(find_potential(supersonic, 0.5, c_a_override=0.5), Infeasible)
+    with pytest.raises(ValueError, match="must exceed"):
+        find_potential(supersonic, 0.5, c_a_override=0.5)
 
 
 def test_repeated_solves_are_bit_identical(supersonic):
@@ -171,19 +171,6 @@ def test_remainder_mode_matches_plain_when_source_vanishes(supersonic):
 
 def test_remainder_mode_subsonic_still_infeasible(subsonic):
     assert isinstance(find_potential_with_remainder(subsonic), Infeasible)
-
-
-def test_solver_agrees_with_grid_oracle_sample():
-    # spot check on the first systems of the acceptance sweep's generator;
-    # the full 50-system comparison runs in the acceptance suite
-    rng = np.random.default_rng(3030)
-    for _ in range(8):
-        sys_ = random_system(rng, 2, int(rng.integers(1, 4)))
-        solver = not isinstance(find_potential(sys_, 0.0, c_a_override=1.0), Infeasible)
-        grid, witness = brute_force_feasible(sys_, c=1.0)
-        assert solver == grid
-        if witness is not None:
-            assert lmi_check(sys_, witness, 1.0)
 
 
 def test_feasible_results_always_satisfy_the_inequality():
