@@ -8,8 +8,6 @@ bare strings, or bracketed (possibly nested) numeric lists, e.g.
     grid.N1 = 64
     control.mode = scalar
     control.C = 0.0
-
-parse -> serialize -> parse is the identity on every field.
 """
 
 from __future__ import annotations
@@ -214,50 +212,6 @@ def load_config(path) -> ScenarioConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
-def _fmt(value) -> str:
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Emit a text form that parses back to an identical ScenarioConfig."""
-    lines = [f"system.kind = {cfg.system.kind}"]
-    if cfg.system.kind == "euler":
-        lines += [
-            f"system.euler.rho_bar = {_fmt(cfg.system.rho_bar)}",
-            f"system.euler.v_bar = {_fmt(cfg.system.v_bar)}",
-            f"system.euler.a_bar = {_fmt(cfg.system.a_bar)}",
-        ]
-    else:
-        lines += [
-            f"system.explicit.d = {cfg.system.d}",
-            f"system.explicit.n = {cfg.system.n}",
-            f"system.explicit.jacobians = {_fmt(cfg.system.jacobians)}",
-        ]
-        if cfg.system.source:
-            lines.append(f"system.explicit.source = {_fmt(cfg.system.source)}")
-    lines += [
-        f"grid.N1 = {cfg.grid.n1}",
-        f"grid.N2 = {cfg.grid.n2}",
-        f"grid.L1 = {_fmt(cfg.grid.l1)}",
-        f"grid.L2 = {_fmt(cfg.grid.l2)}",
-        f"time.t_end = {_fmt(cfg.time.t_end)}",
-        f"time.cfl = {_fmt(cfg.time.cfl)}",
-        f"control.mode = {cfg.control.mode}",
-        f"control.C = {_fmt(cfg.control.c)}",
-        f"lmi.mode = {cfg.lmi.mode}",
-    ]
-    if cfg.lmi.c_a_override is not None:
-        lines.append(f"lmi.C_A_override = {_fmt(cfg.lmi.c_a_override)}")
-    lines.append(f"output.csv_path = {cfg.output.csv_path}")
-    if cfg.output.snapshot_times:
-        lines.append(f"output.snapshot_times = {_fmt(cfg.output.snapshot_times)}")
-    return "\n".join(lines) + "\n"
 
 
 def build_system(cfg: ScenarioConfig) -> HyperbolicSystem:

@@ -22,7 +22,7 @@ class NonUnitDirection(HypstabError):
 
 
 class NoConvergence(HypstabError):
-    """The iterative eigensolver did not reach tolerance within its cap."""
+    """An eigendecomposition fails its diagonalization residual check."""
 
 
 class InvalidScenario(HypstabError):

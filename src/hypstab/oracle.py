@@ -7,9 +7,9 @@ sum_j alpha_j v_j^T A_k v_j for every k.  If that vanishes, then for every m
 the same combination of v_j^T (c*Id + sum_k m_k A_k) v_j equals c > 0, so
 no weight satisfies the inequality (the LMI theorem of alternatives).
 
-Neither check searches, calls the solver's code or uses the Jacobi
-eigensolver that verifies the solver's weights, and both accept a
-certificate of any shape, returning False when it does not fit the system.
+Neither check searches or calls the solver's code (``weight_holds`` does
+share numpy's LAPACK eigensolver with it), and both accept a certificate of
+any shape, returning False when it does not fit the system.
 """
 
 from __future__ import annotations

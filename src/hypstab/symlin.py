@@ -1,17 +1,14 @@
 """Dense symmetric linear algebra for small systems.
 
 Everything here operates on real symmetric matrices of modest size (the
-characteristic dimension of a hyperbolic system, typically n <= 10), so a
-dependency-free cyclic Jacobi eigensolver is both adequate and exactly
-reproducible across platforms.  It serves the boundary eigendata and the
-certificate checks (``lmi_check``); the weight search's direction scan uses
-numpy's batched LAPACK solver instead, so every certificate is verified by
-a solver the search did not use.
+characteristic dimension of a hyperbolic system, typically n <= 10).  The
+eigensolver is numpy's LAPACK, the same one the weight search and
+``hypstab.oracle`` call; this module adds the sign rule, the residual check
+and the validated ``EigenDecomposition`` that the boundary eigendata rely on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +17,6 @@ from .errors import NoConvergence, NonFinite, NonUnitDirection, NotSymmetric, Si
 
 # Constructor rejects matrices whose asymmetry exceeds this relative bound.
 ASYMMETRY_RTOL = 1e-9
-# Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
-# SWEEP_RTOL times the (rotation-invariant) Frobenius norm of the input.
-SWEEP_RTOL = 1e-12
-MAX_SWEEPS = 100
 ORTHOGONALITY_TOL = 1e-10
 DIAG_RESIDUAL_RTOL = 1e-8
 
@@ -107,78 +100,18 @@ def assemble_pencil(jacobians, nu) -> SymMatrix:
     return SymMatrix(acc)
 
 
-def _off_norm2(a: np.ndarray) -> float:
-    """Squared Frobenius norm of the off-diagonal part.
-
-    Summed entry by entry: subtracting the diagonal from the full norm
-    would cancel catastrophically at the tolerances involved.
-    """
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sum(off * off))
-
-
 def eigendecompose(matrix: SymMatrix) -> EigenDecomposition:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps run in row-cyclic order until the off-diagonal Frobenius norm
-    falls below SWEEP_RTOL * ||A||_F (the Frobenius norm is invariant under
-    the rotations, so the threshold is fixed up front).  Raises NoConvergence
-    after MAX_SWEEPS sweeps, or if the final diagonalization residual is out
-    of tolerance.
+    Eigenvalues come back ascending.  Each eigenvector column is signed so
+    that its first non-negligible component is positive, and NoConvergence
+    is raised if the diagonalization residual is out of tolerance.
     """
-    # The rotations run on nested lists of Python floats, which are several
-    # times faster than numpy for n <= 10 and round identically.
-    a = matrix.a.tolist()
-    n = len(a)
-    v = np.eye(n).tolist()
-    thresh2 = (SWEEP_RTOL * np.linalg.norm(matrix.a)) ** 2
-
-    for _ in range(MAX_SWEEPS):
-        if _off_norm2(np.array(a)) <= thresh2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
-                t /= abs(theta) + math.sqrt(1.0 + theta * theta)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for row in a:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p, row_q = a[p], a[q]
-                for j in range(n):
-                    x, y = row_p[j], row_q[j]
-                    row_p[j] = c * x - s * y
-                    row_q[j] = s * x + c * y
-                row_p[q] = 0.0
-                row_q[p] = 0.0
-                for row in v:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-    else:
-        if _off_norm2(np.array(a)) > thresh2:
-            raise NoConvergence(f"off-diagonal norm still above tolerance after {MAX_SWEEPS} sweeps")
-
-    lam = np.diag(np.array(a))
-    v = np.array(v)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-
+    lam, v = np.linalg.eigh(matrix.a)
     # Deterministic sign: make the first non-negligible component of each
     # column positive (columns are unit vectors, so 1e-12 is scale-free).
-    for j in range(n):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, j] = -col
+    lead = np.argmax(np.abs(v) > 1e-12, axis=0)
+    v *= np.where(v[lead, np.arange(matrix.n)] < 0.0, -1.0, 1.0)
 
     residual = np.abs(v.T @ matrix.a @ v - np.diag(lam)).max()
     limit = DIAG_RESIDUAL_RTOL * (1.0 + np.abs(matrix.a).max())
@@ -189,9 +122,4 @@ def eigendecompose(matrix: SymMatrix) -> EigenDecomposition:
 
 def max_eigenvalue(matrix: SymMatrix) -> float:
     """Largest eigenvalue of a symmetric matrix."""
-    return float(eigendecompose(matrix).eigenvalues[-1])
-
-
-def is_negative_semidefinite(matrix: SymMatrix, slack: float = 0.0) -> bool:
-    """True when the largest eigenvalue does not exceed ``slack``."""
-    return max_eigenvalue(matrix) <= slack
+    return float(np.linalg.eigvalsh(matrix.a)[-1])

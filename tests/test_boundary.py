@@ -14,9 +14,10 @@ from hypstab.boundary import (
 )
 from hypstab.config import build_control, parse_config
 from hypstab.errors import MissingControl, NoInflow, SizeMismatch
-from hypstab.potential import LyapunovPotential
+from hypstab.potential import LyapunovPotential, find_potential
 from hypstab.sim import ControlLaw, Grid, default_bump, run
-from hypstab.sysdef import EulerScenario, advection_system, characteristic_transform
+from hypstab.symlin import DIAG_RESIDUAL_RTOL, ORTHOGONALITY_TOL, SymMatrix, assemble_pencil, eigendecompose
+from hypstab.sysdef import EulerScenario, HyperbolicSystem, advection_system, characteristic_transform
 
 # A constant weight: the sim needs a potential, these tests only its m = 0.
 FLAT_1D = LyapunovPotential(m=np.zeros(1), c_a=1.0, c_b=0.0)
@@ -193,3 +194,36 @@ def test_assemble_is_pure_injection(toy):
     for inflow, qt, qg in zip(part.inflow, q_trace, q_ghost):
         expect = np.where(inflow, levels, qt)
         assert qg == pytest.approx(expect, abs=1e-12)
+
+
+def test_repeated_inflow_eigenvalue_pin():
+    # A_1 = Q diag(1, 1, 2) Q^T with Q mixing the repeated eigenspace into
+    # every coordinate, so side x1- has inflow eigenvalue -1 twice.  Any
+    # orthonormal basis of that eigenspace is a valid eigenbasis, and the
+    # uniform control's ghost state depends on the one LAPACK returns.
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    a1 = q @ np.diag([1.0, 1.0, 2.0]) @ q.T
+    a2 = 0.2 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, -1.0]])
+    system = HyperbolicSystem((SymMatrix(a1), SymMatrix(a2)), np.zeros((3, 3)))
+
+    pencil = assemble_pencil(system.jacobians, np.array([-1.0, 0.0]))
+    dec = eigendecompose(pencil)
+    t, lam = dec.T, dec.eigenvalues
+    assert np.abs(lam - [-2.0, -1.0, -1.0]).max() <= 1e-12
+    assert np.abs(t.T @ t - np.eye(3)).max() <= ORTHOGONALITY_TOL
+    for col in t.T:
+        assert col[np.abs(col) > 1e-12][0] > 0.0
+    assert np.abs(t.T @ pencil.a @ t - np.diag(lam)).max() <= DIAG_RESIDUAL_RTOL * (1.0 + np.abs(pencil.a).max())
+    # the repeated eigenspace itself is basis-free
+    assert np.abs(t[:, 1:] @ t[:, 1:].T - q[:, :2] @ q[:, :2].T).max() <= 1e-12
+
+    part = partition_boundary(system, rectangle_faces((4, 4), (1.0, 1.0)))
+    assert part.inflow[SIDE_ORDER.index("x1-")].all()
+
+    pot = find_potential(system, 0.0)
+    assert isinstance(pot, LyapunovPotential)
+    grid = Grid((32, 32), (1.0, 1.0))
+    rec = run(system, grid, default_bump(grid, 3), pot, ControlLaw.scalar(1.0), t_end=0.2)
+    assert rec.controls[1:].any()
+    certificate = np.log(rec.lyapunov) - np.log(rec.lyapunov[0]) + pot.c_l * rec.times
+    assert certificate.max() <= 1e-9

@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 
 import hypstab.cli as cli
 from hypstab.config import (
+    ControlConfig,
+    GridConfig,
+    LmiConfig,
+    OutputConfig,
+    ScenarioConfig,
+    SystemConfig,
+    TimeConfig,
     build_control,
     build_grid,
     build_system,
     parse_config,
-    serialize_config,
 )
 from hypstab.errors import ConfigError
 from hypstab.potential import LyapunovPotential
@@ -71,8 +77,12 @@ def test_parse_rejects(text):
 
 def test_roundtrip_euler_identity():
     text = SUPERSONIC.format(csv="a.csv") + "output.snapshot_times = [0.05]\n"
-    cfg = parse_config(text)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(text) == ScenarioConfig(
+        grid=GridConfig(n1=16, n2=16),
+        time=TimeConfig(t_end=0.1),
+        control=ControlConfig(mode="scalar", c=0.0),
+        output=OutputConfig(csv_path="a.csv", snapshot_times=(0.05,)),
+    )
 
 
 def test_roundtrip_explicit_identity():
@@ -84,7 +94,16 @@ def test_roundtrip_explicit_identity():
         "system.explicit.source = [[0.0, 0.1], [0.0, 0.0]]\n"
         "lmi.C_A_override = 0.5\n"
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert cfg == ScenarioConfig(
+        system=SystemConfig(
+            kind="explicit",
+            d=1,
+            n=2,
+            jacobians=(((1.0, 0.5), (0.5, -1.0)),),
+            source=((0.0, 0.1), (0.0, 0.0)),
+        ),
+        lmi=LmiConfig(c_a_override=0.5),
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +120,11 @@ def test_roundtrip_random_configs(n1, l1, t_end, cfl, mode, c):
         f"grid.N1 = {n1}\ngrid.L1 = {l1!r}\ntime.t_end = {t_end!r}\n"
         f"time.cfl = {cfl!r}\ncontrol.mode = {mode}\ncontrol.C = {c!r}\n"
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert cfg == ScenarioConfig(
+        grid=GridConfig(n1=n1, l1=l1),
+        time=TimeConfig(t_end=t_end, cfl=cfl),
+        control=ControlConfig(mode=mode, c=c),
+    )
 
 
 def test_build_system_euler_and_explicit():

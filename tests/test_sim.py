@@ -24,7 +24,6 @@ from hypstab.sim import (
     write_csv,
     write_snapshot,
 )
-from hypstab.symlin import SWEEP_RTOL
 from hypstab.sysdef import HyperbolicSystem, advection_system
 
 
@@ -226,7 +225,7 @@ def test_advance_matches_the_characteristic_sweep(seed, cells, lengths):
 @pytest.mark.parametrize("seed, cells, lengths", LOOPS)
 def test_split_flux_sums_to_the_axis_jacobian(seed, cells, lengths):
     # Exact up to rounding against the eigendata T Lambda T^T; against A_k
-    # itself only to the tolerance at which the Jacobi sweeps stop.
+    # itself only up to the eigensolver's backward error.
     ctx, _ = random_loop(seed, cells, lengths)
     axes = zip(ctx.partition.eigs[1::2], ctx.system.jacobians, ctx.grid.spacing, ctx.split)
     for eig, jac, h, (plus, minus) in axes:
@@ -234,7 +233,7 @@ def test_split_flux_sums_to_the_axis_jacobian(seed, cells, lengths):
         total = (plus + minus) / scale
         eigen = (eig.T * eig.eigenvalues) @ eig.T.T
         assert np.abs(total - eigen).max() <= 1e-14 * np.abs(eigen).max()
-        assert np.linalg.norm(total - jac.a) <= SWEEP_RTOL * np.linalg.norm(jac.a)
+        assert np.linalg.norm(total - jac.a) <= 1e-12 * np.linalg.norm(jac.a)
         assert np.linalg.eigvalsh(plus).min() >= -1e-14 * scale
         assert np.linalg.eigvalsh(minus).max() <= 1e-14 * scale
 

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypstab import symlin
 from hypstab.errors import NoConvergence, NonFinite, NonUnitDirection, NotSymmetric, SizeMismatch
+from hypstab.potential import lmi_check
 from hypstab.symlin import (
     EigenDecomposition,
     SymMatrix,
     assemble_pencil,
     eigendecompose,
-    is_negative_semidefinite,
     max_eigenvalue,
 )
+from hypstab.sysdef import HyperbolicSystem
 
 from conftest import random_symmetric
 
@@ -122,15 +122,28 @@ def test_max_eigenvalue():
 
 
 def test_negative_semidefinite_boundary():
-    assert is_negative_semidefinite(SymMatrix(np.diag([-1.0, 0.0])), slack=0.0)
-    assert not is_negative_semidefinite(SymMatrix(np.diag([-1.0, 1e-6])), slack=1e-10)
-    assert is_negative_semidefinite(SymMatrix(np.diag([5e-11])), slack=1e-10)
+    # lmi_check accepts c * Id + m A up to a top eigenvalue of 1e-10 * (1 + c)
+    def holds(diag, c):
+        system = HyperbolicSystem((SymMatrix(np.diag(diag)),), np.zeros((len(diag), len(diag))))
+        return lmi_check(system, [1.0], c)
+
+    assert holds([0.0, 1.0], c=-1.0)  # diag(-1, 0) at zero slack
+    assert not holds([-1.0, 1e-6], c=0.0)
+    assert holds([5e-11], c=0.0)
 
 
-def test_sweep_cap_raises_no_convergence(monkeypatch):
-    # with no sweeps allowed, a matrix with off-diagonal mass cannot converge
-    monkeypatch.setattr(symlin, "MAX_SWEEPS", 0)
-    with pytest.raises(NoConvergence):
-        eigendecompose(SymMatrix([[2.0, 1.0], [1.0, 3.0]]))
-    # a diagonal one already meets the tolerance before the first sweep
+def test_residual_check_raises_no_convergence(monkeypatch):
+    # a basis rotated off the eigenvectors fails the residual check
+    lapack_eigh = np.linalg.eigh
+
+    def rotated_eigh(a):
+        lam, v = lapack_eigh(a)
+        turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        return lam, v @ turn
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", rotated_eigh)
+        with pytest.raises(NoConvergence):
+            eigendecompose(SymMatrix([[2.0, 1.0], [1.0, 3.0]]))
+    # the unrotated basis of a diagonal matrix passes
     assert np.array_equal(eigendecompose(SymMatrix(np.diag([2.0, 1.0]))).eigenvalues, [1.0, 2.0])

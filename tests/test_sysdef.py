@@ -66,7 +66,7 @@ def test_closed_form_eigenvalues():
 
 
 def test_closed_form_matches_pencil_decomposition():
-    # dual route: generic Jacobi on the assembled pencil
+    # dual route: generic LAPACK decomposition of the assembled pencil
     sc = EulerScenario(1.2, (2.0, -1.5), 0.7)
     sys_ = euler_symmetrized(sc)
     rng = np.random.default_rng(11)
