@@ -11,7 +11,10 @@ quantity whose sign the feedback laws protect.
 Per-face data (traces, controls, ghost states, weights) travels as one
 array per side, in SIDE_ORDER, with one row per face of that side.  The
 quadratures take the weights from face_weights as an argument, so a
-caller that evaluates them every step computes the weights once.
+caller that evaluates them every step computes the weights once.  In the
+same way the feedback law and the ghost assembly take the characteristic
+traces q from one characteristic_traces call, and the feedback law takes
+its denominator from weighted_inflow_speed, a constant of the run.
 """
 
 from __future__ import annotations
@@ -158,12 +161,10 @@ def boundary_integral(partition: BoundaryPartition, traces, weights) -> float:
     return float(total)
 
 
-def _outflow_budget(partition: BoundaryPartition, trace_plus, weights) -> float:
+def _outflow_budget(partition: BoundaryPartition, q_plus, weights) -> float:
     """Weighted energy that the traced outgoing characteristics carry out."""
     budget = 0.0
-    for q, eig, inflow, w in zip(
-        characteristic_traces(partition, trace_plus), partition.eigs, partition.inflow, weights
-    ):
+    for q, eig, inflow, w in zip(q_plus, partition.eigs, partition.inflow, weights):
         out = ~inflow
         budget += np.sum(eig.eigenvalues[out] * q[:, out] ** 2 * w[:, None])
     return budget
@@ -174,7 +175,8 @@ def control_inequality_holds(partition: BoundaryPartition, controls, trace_plus,
 
     ``controls`` holds, per side, the characteristic datum of every face;
     entries of outgoing characteristics are ignored and may be NaN.  A NaN
-    on an inflow pair raises MissingControl.
+    on an inflow pair raises MissingControl.  ``trace_plus`` holds the
+    physical traces.
     """
     controls = _per_side(partition, controls, "controls")
     lhs = 0.0
@@ -183,43 +185,49 @@ def control_inequality_holds(partition: BoundaryPartition, controls, trace_plus,
         if missing.any():
             raise MissingControl(f"characteristic {np.argmax(missing) + 1} lacks a control value")
         lhs -= np.sum(eig.eigenvalues[inflow] * ctrl[:, inflow] ** 2 * w[:, None])
-    rhs = _outflow_budget(partition, trace_plus, weights)
+    rhs = _outflow_budget(partition, characteristic_traces(partition, trace_plus), weights)
     return lhs <= rhs + INEQUALITY_RTOL * (1.0 + lhs + rhs)
 
 
-def scalar_feedback_control(
-    partition: BoundaryPartition, trace_plus, weights, c: float = 1.0
-) -> float:
-    """One admissible datum for every inflow characteristic, |c| <= 1.
-
-    The value saturates the outflow budget at |c| = 1 and scales linearly
-    below it.
-    """
-    # Sum of lambda_i exp(mu) area over the inflow pairs, <= 0.
-    denominator = sum(
+def weighted_inflow_speed(partition: BoundaryPartition, weights) -> float:
+    """Sum of lambda_i exp(mu) area over the inflow pairs, <= 0: the
+    denominator of scalar_feedback_control, which depends only on the run."""
+    return sum(
         np.sum(w[:, None] * eig.eigenvalues[inflow])
         for eig, inflow, w in zip(partition.eigs, partition.inflow, weights)
     )
-    if denominator >= 0.0:
+
+
+def scalar_feedback_control(
+    partition: BoundaryPartition, q_plus, weights, inflow_speed: float, c: float = 1.0
+) -> float:
+    """One admissible datum for every inflow characteristic, |c| <= 1.
+
+    ``q_plus`` holds the characteristic traces as characteristic_traces
+    returns them and ``inflow_speed`` the sum from weighted_inflow_speed.
+    The value saturates the outflow budget at |c| = 1 and scales linearly
+    below it.
+    """
+    if inflow_speed >= 0.0:
         raise NoInflow("no boundary face has an incoming characteristic")
-    budget = _outflow_budget(partition, trace_plus, weights)
-    return float(c * np.sqrt(budget / (-denominator)))
+    budget = _outflow_budget(partition, q_plus, weights)
+    return float(c * np.sqrt(budget / (-inflow_speed)))
 
 
 def assemble_boundary_data(
-    partition: BoundaryPartition, traces, uniform_controls
+    partition: BoundaryPartition, q_plus, uniform_controls
 ) -> tuple[np.ndarray, ...]:
     """Physical boundary states per side: traced outflow, prescribed inflow.
 
-    Works in the side-normal characteristic basis, overwriting exactly the
-    inflow components with their control value and mapping back.  Pure
-    injection: outgoing components always keep their traced values.
+    Takes the characteristic traces as characteristic_traces returns them,
+    replaces exactly their inflow components with the control values and
+    maps back; ``q_plus`` is left unchanged.  Pure injection: outgoing
+    components always keep their traced values.
     """
     uniform_controls = np.asarray(uniform_controls, dtype=float)
     if uniform_controls.shape != (partition.n,):
         raise SizeMismatch("uniform controls must have one value per characteristic")
-    ghosts = []
-    for q, eig, inflow in zip(characteristic_traces(partition, traces), partition.eigs, partition.inflow):
-        q[:, inflow] = uniform_controls[inflow]
-        ghosts.append(q @ eig.T.T)
-    return tuple(ghosts)
+    return tuple(
+        np.where(inflow, uniform_controls, q) @ eig.T.T
+        for q, eig, inflow in zip(q_plus, partition.eigs, partition.inflow)
+    )

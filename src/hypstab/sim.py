@@ -9,9 +9,14 @@ through ghost states whose incoming characteristic components are
 prescribed by the active control law and whose outgoing components copy
 the adjacent interior cell.
 
-A run computes the split Jacobians, the energy weights and a padded field
-buffer with its scratch arrays once; a step then works in place on them
-and hands out each new state as a fresh array.
+A run computes the split Jacobians, the energy weights, the inflow
+denominator of the feedback law, two padded field buffers and three
+scratch arrays once.  A step reads the state from the interior of one
+buffer and writes the new state into the interior of the other, each axis
+as contiguous passes over the buffer seen as flat rows, and it skips the
+flux product of a split half that is exactly zero.  A state that the loop
+hands out is therefore overwritten two steps later; snapshots and the
+final state are copies.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ import numpy as np
 from .boundary import (
     assemble_boundary_data,
     boundary_integral,
+    characteristic_traces,
     face_weights,
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
+    weighted_inflow_speed,
 )
 from .errors import DegenerateSeries, NonFinite, SizeMismatch
 from .potential import LyapunovPotential
@@ -168,27 +175,44 @@ def cell_weights(grid: Grid, pot: LyapunovPotential | None) -> np.ndarray:
     return grid.cell_volume * np.exp(grid.cell_centers() @ pot.m)
 
 
-def lyapunov_value(weights: np.ndarray, state) -> float:
+def lyapunov_value(weights: np.ndarray, state, scratch: np.ndarray | None = None) -> float:
     """Midpoint quadrature of |w|^2 exp(mu) over the box, with ``weights``
-    from cell_weights."""
+    from cell_weights.
+
+    The squares go into ``scratch`` (a flat array of at least the field's
+    size) when it is given, and one matrix-vector product sums them
+    against the weights.
+    """
     w = state.w if isinstance(state, SimState) else np.asarray(state, dtype=float)
-    rows = w.reshape(-1, w.shape[-1])
-    return float(np.einsum("ci,ci,c->", rows, rows, weights.reshape(-1)))
+    out = None if scratch is None else scratch[: w.size].reshape(w.shape)
+    squares = np.square(w, out=out)
+    return float(np.sum(weights.reshape(-1) @ squares.reshape(-1, w.shape[-1])))
 
 
-def _split_flux(eig, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """scale * A+ and scale * A- with A+- = T Lambda+- T^T, so A = A+ + A-."""
+def _split_flux(eig, scale: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """scale * A+ and scale * A- with A+- = T Lambda+- T^T, so A = A+ + A-.
+
+    A half whose speeds are all zero, as on an axis where every speed has
+    one sign, is exactly zero and comes back as None.
+    """
     lam = eig.eigenvalues
     return tuple(
-        scale * ((eig.T * part) @ eig.T.T)
+        scale * ((eig.T * part) @ eig.T.T) if part.any() else None
         for part in (np.maximum(lam, 0.0), np.minimum(lam, 0.0))
     )
 
 
 class _RunContext:
     """What every step of a run shares, computed once: boundary eigendata,
-    the step size, the split axis Jacobians, the energy weights and the
-    working buffers of the sweep."""
+    the step size, the split axis Jacobians, the energy weights, the inflow
+    denominator of the feedback law and the working buffers of the sweep.
+
+    ``padded`` holds two copies of the field with one ghost layer on each
+    side, and ``interior`` their interiors.  Seen as flat rows of n values
+    (``flat``), a step along axis k moves ``strides[k]`` rows, and the rows
+    ``rows`` cover the interior cells together with the ghost cells of the
+    other axis beside them.
+    """
 
     def __init__(
         self,
@@ -219,14 +243,22 @@ class _RunContext:
         self.split = tuple(
             _split_flux(eig, self.dt / h) for eig, h in zip(axis_eigs, grid.spacing)
         )
+        # The source substep multiplies flat rows by S^T, kept contiguous:
+        # numpy's matmul into an output array is far slower with a
+        # transposed operand.
+        self.source_t = np.ascontiguousarray(system.source.T) if system.source.any() else None
         self.cell_weights = cell_weights(grid, pot)
         self.face_weights = face_weights(self.partition, pot)
-        # The field with one ghost layer on each side, and scratch for the
-        # differences along one axis and their two flux products.
-        cells = grid.cells_per_axis
-        self.padded = np.zeros(tuple(c + 2 for c in cells) + (system.n,))
-        self.interior = self.padded[(slice(1, -1),) * grid.d]
-        size = system.n * max(math.prod(cells) // c * (c + 1) for c in cells)
+        self.inflow_speed = weighted_inflow_speed(self.partition, self.face_weights)
+        shape = tuple(c + 2 for c in grid.cells_per_axis) + (system.n,)
+        self.padded = tuple(np.zeros(shape) for _ in range(2))
+        self.interior = tuple(p[(slice(1, -1),) * grid.d] for p in self.padded)
+        self.flat = tuple(p.reshape(-1, system.n) for p in self.padded)
+        self.strides = tuple(math.prod(shape[k + 1 : -1]) for k in range(grid.d))
+        self.rows = slice(self.strides[0], (shape[0] - 1) * self.strides[0])
+        # Differences span the update rows plus one step of the widest
+        # stride; the two flux products and the energy squares fit in that.
+        size = system.n * (self.rows.stop - self.rows.start + self.strides[0])
         self.scratch = tuple(np.empty(size) for _ in range(3))
 
 
@@ -238,20 +270,23 @@ def _traces(w: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _boundary_data(ctx: _RunContext, state: SimState) -> tuple[np.ndarray, tuple]:
-    """Controls for the current state and the per-side ghost states they give."""
-    traces = _traces(state.w)
-    controls = _uniform_controls(ctx, state, traces)
-    return controls, assemble_boundary_data(ctx.partition, traces, controls)
+    """Controls for the current state and the per-side ghost states they
+    give, from one projection of the traces."""
+    q = characteristic_traces(ctx.partition, _traces(state.w))
+    controls = _uniform_controls(ctx, state, q)
+    return controls, assemble_boundary_data(ctx.partition, q, controls)
 
 
-def _uniform_controls(ctx: _RunContext, state: SimState, traces) -> np.ndarray:
+def _uniform_controls(ctx: _RunContext, state: SimState, q) -> np.ndarray:
     """Per-characteristic uniform control magnitudes for the current state."""
     partition = ctx.partition
     values = np.zeros(partition.n)
     if not partition.has_inflow() or ctx.control.mode == "zero":
         return values
     if ctx.control.mode == "scalar":
-        level = scalar_feedback_control(partition, traces, ctx.face_weights, ctx.control.gain)
+        level = scalar_feedback_control(
+            partition, q, ctx.face_weights, ctx.inflow_speed, ctx.control.gain
+        )
     else:
         datum = ctx.control.datum
         level = float(datum(state.t)) if callable(datum) else float(datum)
@@ -264,49 +299,67 @@ def _along(d: int, k: int, index) -> tuple:
     return tuple(index if j == k else slice(1, -1) for j in range(d))
 
 
-def _axis_sweep(ctx: _RunContext, k: int, ghosts: tuple) -> np.ndarray | None:
-    """One upwind transport substep along axis k on the padded buffer.
+def _axis_sweep(ctx: _RunContext, k: int, ghosts: tuple, src: int, dst: int) -> None:
+    """One upwind transport substep along axis k from buffer ``src`` into
+    the update rows of buffer ``dst`` (the same buffer updates in place).
 
     ``ghosts`` holds the physical ghost states of sides x_k- and x_k+.  The
     update is w -= (w - w_prev) dt/h A+ + (w_next - w) dt/h A-, from one
-    array of differences across the k-faces.  Every axis but the last
-    leaves its result in the buffer interior for the next one; the last
-    returns it as a new array.
+    array of differences across the k-faces.  Cell p of the flat rows has
+    its backward difference in row p - s of that array and its forward
+    difference in row p, with s the stride of axis k.  The update rows
+    also hold ghost cells of the other axis; their values are overwritten
+    before any step reads them.
     """
     d = ctx.grid.d
-    padded = ctx.padded
+    padded = ctx.padded[src]
     padded[_along(d, k, 0)] = ghosts[0]
     padded[_along(d, k, -1)] = ghosts[1]
-    shape = list(ctx.grid.cells_per_axis) + [padded.shape[-1]]
-    shape[k] += 1
-    size = math.prod(shape)
-    diff, up, down = (buf[:size].reshape(shape) for buf in ctx.scratch)
-    np.subtract(padded[_along(d, k, slice(1, None))], padded[_along(d, k, slice(None, -1))], out=diff)
-    rows = diff.reshape(-1, shape[-1])
+    flat, out = ctx.flat[src], ctx.flat[dst][ctx.rows]
     plus, minus = ctx.split[k]
-    np.matmul(rows, plus, out=up.reshape(rows.shape))
-    np.matmul(rows, minus, out=down.reshape(rows.shape))
-    lead = (slice(None),) * k
-    flux = up[lead + (slice(None, -1),)]
-    np.add(flux, down[lead + (slice(1, None),)], out=flux)
-    if k < d - 1:
-        np.subtract(ctx.interior, flux, out=ctx.interior)
-        return None
-    return ctx.interior - flux
+    if plus is None and minus is None:
+        if src != dst:
+            out[...] = flat[ctx.rows]
+        return
+    s, lo, hi = ctx.strides[k], ctx.rows.start, ctx.rows.stop
+    n = flat.shape[1]
+    m = hi - lo
+    diff = ctx.scratch[0][: (m + s) * n].reshape(-1, n)
+    np.subtract(flat[lo : hi + s], flat[lo - s : hi], out=diff)
+    # Between two buffers the flux is formed in the destination rows and
+    # subtracted there, which saves a pass through a scratch array.
+    flux = out if src != dst else ctx.scratch[2][: m * n].reshape(m, n)
+    if plus is None or minus is None:
+        half, rows = (plus, diff[:m]) if minus is None else (minus, diff[s:])
+        np.matmul(rows, half, out=flux)
+    else:
+        up = np.matmul(diff[:m], plus, out=ctx.scratch[1][: m * n].reshape(m, n))
+        np.add(up, np.matmul(diff[s:], minus, out=flux), out=flux)
+    np.subtract(flat[ctx.rows], flux, out=out)
 
 
 def _advance(ctx: _RunContext, state: SimState) -> tuple[SimState, np.ndarray, tuple]:
     """One explicit step of size ctx.dt; returns the new state, the applied
     controls and the per-side ghost states.
 
-    The new state's field is a fresh array: snapshots keep earlier states.
+    ``state.w`` is left unchanged.  The new state's field is the interior
+    of the buffer that does not hold ``state.w`` (a field held by neither
+    is first copied into buffer 0), so it stays valid until the step after
+    the next one writes that buffer again.
     """
     controls, ghosts = _boundary_data(ctx, state)
-    ctx.interior[...] = state.w
+    src = 1 if state.w is ctx.interior[1] else 0
+    if state.w is not ctx.interior[src]:
+        ctx.interior[src][...] = state.w
+    dst = 1 - src
     for k in range(ctx.grid.d):
-        w = _axis_sweep(ctx, k, ghosts[2 * k : 2 * k + 2])
-    if ctx.system.source.any():
-        w -= ctx.dt * (w @ ctx.system.source.T)
+        _axis_sweep(ctx, k, ghosts[2 * k : 2 * k + 2], src if k == 0 else dst, dst)
+    if ctx.source_t is not None:
+        rows = ctx.flat[dst][ctx.rows]
+        product = np.matmul(rows, ctx.source_t, out=ctx.scratch[1][: rows.size].reshape(rows.shape))
+        product *= ctx.dt
+        np.subtract(rows, product, out=rows)
+    w = ctx.interior[dst]
     t = state.t + ctx.dt
     if not np.isfinite(w).all():
         raise NonFinite(f"non-finite field values after the step ending at t = {t:.6e}")
@@ -341,18 +394,18 @@ def run(
     for i in range(steps):
         new_state, controls, ghosts = _advance(ctx, state)
         times[i] = state.t
-        lyap[i] = lyapunov_value(ctx.cell_weights, state)
+        lyap[i] = lyapunov_value(ctx.cell_weights, state, ctx.scratch[0])
         bnd[i] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
         ctrl[i] = controls
         state = new_state
         while queue and state.t >= queue[0] - 1e-12:
-            snapshots.append((state.t, state))
+            snapshots.append((state.t, SimState(state.t, state.w.copy())))
             queue.pop(0)
 
     # Final row: boundary data that would be applied at t_end.
     controls, ghosts = _boundary_data(ctx, state)
     times[steps] = state.t
-    lyap[steps] = lyapunov_value(ctx.cell_weights, state)
+    lyap[steps] = lyapunov_value(ctx.cell_weights, state, ctx.scratch[0])
     bnd[steps] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
     ctrl[steps] = controls
 
@@ -365,7 +418,7 @@ def run(
         lyapunov=lyap,
         boundary=bnd,
         controls=ctrl,
-        final_state=state,
+        final_state=SimState(state.t, state.w.copy()),
         c_fit=c_fit,
         c_l=pot.c_l,
         steps=steps,

@@ -15,10 +15,12 @@ from hypstab.boundary import (
     SIDE_ORDER,
     assemble_boundary_data,
     boundary_integral,
+    characteristic_traces,
     face_weights,
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
+    weighted_inflow_speed,
 )
 from hypstab.config import build_control, parse_config
 from hypstab.oracle import weight_holds, witness_holds
@@ -202,19 +204,21 @@ def test_criterion_7_feedback_saturates_the_budget_exactly():
     rows = {"x1-": (0.0, 0.0, 0.0), "x1+": (1.0, 1.0, 0.0), "x2-": (1.0, 0.0, 0.0), "x2+": (1.0, 0.0, 0.0)}
     trace = tuple(np.array([rows[side]]) for side in SIDE_ORDER)
     flat = face_weights(part, None)  # mu = 0: the face areas
+    q = characteristic_traces(part, trace)
+    inflow_speed = weighted_inflow_speed(part, flat)
     # hand arithmetic: outflow budget 9, total inflow weight 11
     budget = 9.0
 
     for sign in (1.0, -1.0):
-        level = scalar_feedback_control(part, trace, flat, c=sign)
+        level = scalar_feedback_control(part, q, flat, inflow_speed, c=sign)
         assert abs(11.0 * level * level - budget) <= 1e-12 * budget
-        ghost = assemble_boundary_data(part, trace, np.full(3, level))
+        ghost = assemble_boundary_data(part, q, np.full(3, level))
         assert abs(boundary_integral(part, ghost, flat)) <= 1e-12 * budget
 
     # control.mode = componentwise runs the same law at C = 1
     law = build_control(parse_config("control.mode = componentwise\n"))
-    level = scalar_feedback_control(part, trace, flat, c=law.gain)
-    ghost = assemble_boundary_data(part, trace, np.full(3, level))
+    level = scalar_feedback_control(part, q, flat, inflow_speed, c=law.gain)
+    ghost = assemble_boundary_data(part, q, np.full(3, level))
     assert abs(boundary_integral(part, ghost, flat)) <= 1e-12 * budget
     print(f"[criterion 7] PASS injected energy matches the 9/11 budget to 1e-12")
 

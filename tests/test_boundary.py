@@ -11,6 +11,7 @@ from hypstab.boundary import (
     partition_boundary,
     rectangle_faces,
     scalar_feedback_control,
+    weighted_inflow_speed,
 )
 from hypstab.config import build_control, parse_config
 from hypstab.errors import MissingControl, NoInflow, SizeMismatch
@@ -35,6 +36,13 @@ def toy(supersonic):
 def flat(part):
     """Face weights of mu = 0: the face areas."""
     return face_weights(part, None)
+
+
+def feedback(part, trace, c):
+    """scalar_feedback_control with flat weights from physical traces."""
+    weights = flat(part)
+    q = characteristic_traces(part, trace)
+    return scalar_feedback_control(part, q, weights, weighted_inflow_speed(part, weights), c)
 
 
 def componentwise_law():
@@ -121,15 +129,16 @@ def test_boundary_integral_open_loop_frozen(toy):
 def test_scalar_feedback_frozen(toy):
     part, trace = toy
     # outflow budget 9, inflow weight total 11
-    u = scalar_feedback_control(part, trace, flat(part), c=1.0)
+    assert weighted_inflow_speed(part, flat(part)) == pytest.approx(-11.0, rel=1e-12)
+    u = feedback(part, trace, c=1.0)
     assert u == pytest.approx(np.sqrt(9.0 / 11.0), rel=1e-12)
-    assert scalar_feedback_control(part, trace, flat(part), c=-0.5) == pytest.approx(-u / 2.0, rel=1e-12)
+    assert feedback(part, trace, c=-0.5) == pytest.approx(-u / 2.0, rel=1e-12)
 
 
 def test_scalar_feedback_saturates_budget(toy):
     part, trace = toy
-    u = scalar_feedback_control(part, trace, flat(part), c=1.0)
-    ghost = assemble_boundary_data(part, trace, np.full(3, u))
+    u = feedback(part, trace, c=1.0)
+    ghost = assemble_boundary_data(part, characteristic_traces(part, trace), np.full(3, u))
     assert abs(boundary_integral(part, ghost, flat(part))) <= 1e-12 * 9.0
 
 
@@ -138,9 +147,9 @@ def test_componentwise_controls_frozen(toy):
     part, trace = toy
     law = componentwise_law()
     assert law == ControlLaw.scalar(1.0)
-    level = scalar_feedback_control(part, trace, flat(part), c=law.gain)
+    level = feedback(part, trace, c=law.gain)
     assert level == pytest.approx(np.sqrt(9.0 / 11.0), rel=1e-12)
-    ghost = assemble_boundary_data(part, trace, np.full(3, level))
+    ghost = assemble_boundary_data(part, characteristic_traces(part, trace), np.full(3, level))
     assert abs(boundary_integral(part, ghost, flat(part))) <= 1e-12 * 9.0
 
 
@@ -162,7 +171,7 @@ def test_no_inflow_raises():
     part = partition_boundary(sys_, rectangle_faces(grid.cells_per_axis, grid.lengths))
     assert not part.has_inflow()
     with pytest.raises(NoInflow):
-        scalar_feedback_control(part, [np.ones((1, 1))] * 2, flat(part))
+        scalar_feedback_control(part, [np.ones((1, 1))] * 2, flat(part), weighted_inflow_speed(part, flat(part)))
     # the closed loop degrades to all-zero controls instead
     rec = run(sys_, grid, default_bump(grid, 1), FLAT_1D, componentwise_law(), t_end=0.1)
     assert not rec.controls.any()
@@ -170,7 +179,7 @@ def test_no_inflow_raises():
 
 def test_control_inequality(toy):
     part, trace = toy
-    u = scalar_feedback_control(part, trace, flat(part), c=0.9)
+    u = feedback(part, trace, c=0.9)
     controls = [np.where(inflow, u, np.nan)[None, :] for inflow in part.inflow]
     assert control_inequality_holds(part, controls, trace, flat(part))
     controls = [np.where(inflow, 5.0, np.nan)[None, :] for inflow in part.inflow]
@@ -188,10 +197,12 @@ def test_control_inequality_rejects_missing_values(toy):
 def test_assemble_is_pure_injection(toy):
     part, trace = toy
     levels = np.array([0.3, 0.2, 0.1])
-    ghost = assemble_boundary_data(part, trace, levels)
     q_trace = characteristic_traces(part, trace)
+    kept = [q.copy() for q in q_trace]
+    ghost = assemble_boundary_data(part, q_trace, levels)
     q_ghost = characteristic_traces(part, ghost)
-    for inflow, qt, qg in zip(part.inflow, q_trace, q_ghost):
+    for inflow, qt, qg, qk in zip(part.inflow, q_trace, q_ghost, kept):
+        assert np.array_equal(qt, qk)
         expect = np.where(inflow, levels, qt)
         assert qg == pytest.approx(expect, abs=1e-12)
 

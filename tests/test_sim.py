@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_symmetric, random_system
+from hypstab.boundary import boundary_integral, characteristic_traces, control_inequality_holds
 from hypstab.config import build_control, parse_config
 from hypstab.errors import DegenerateSeries, NonFinite, SizeMismatch
 from hypstab.potential import LyapunovPotential, find_potential
@@ -14,7 +16,9 @@ from hypstab.sim import (
     SimState,
     _RunContext,
     _advance,
+    _along,
     _boundary_data,
+    _traces,
     cell_weights,
     default_bump,
     fit_decay_rate,
@@ -24,7 +28,8 @@ from hypstab.sim import (
     write_csv,
     write_snapshot,
 )
-from hypstab.sysdef import HyperbolicSystem, advection_system
+from hypstab.symlin import SymMatrix
+from hypstab.sysdef import EulerScenario, HyperbolicSystem, advection_system, euler_symmetrized
 
 
 @pytest.fixture
@@ -154,6 +159,26 @@ def test_run_snapshots(supersonic, pot2d):
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(fields, 2))
 
 
+def test_snapshots_on_adjacent_steps_survive_the_buffer_swap(supersonic, pot2d):
+    # Steps alternate between two field buffers, so the states of two
+    # adjacent steps live in different buffers and each is overwritten two
+    # steps later: snapshots taken there must be copies.
+    g = Grid((16, 16), (1.0, 1.0))
+    dt = 0.2 / 29
+    rec = run(
+        supersonic, g, default_bump(g, 3), pot2d, ControlLaw.scalar(1.0),
+        t_end=0.2, snapshot_times=(7.5 * dt, 8.5 * dt),
+    )
+    assert rec.steps == 29
+    assert [t for t, _ in rec.snapshots] == pytest.approx([8.0 * dt, 9.0 * dt], rel=1e-12)
+    # |w|^2 recorded with the one-buffer step that handed out fresh arrays
+    fields = [state.w for _, state in rec.snapshots] + [rec.final_state.w]
+    for w, expect in zip(fields, (0.9522032106429253, 0.9339047598422341, 0.509297766355241)):
+        assert np.sum(w * w) == pytest.approx(expect, rel=1e-12)
+        assert w.flags.c_contiguous  # a plain array, not a view into a step buffer
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(fields, 2))
+
+
 def test_run_componentwise_controls_recorded(supersonic, pot2d):
     g = Grid((16, 16), (1.0, 1.0))
     law = build_control(parse_config("control.mode = componentwise\n"))
@@ -187,27 +212,59 @@ def characteristic_sweep(eig, k, w, ghosts, dt, dx):
     return w - dt * (flux @ t.T)
 
 
-def random_loop(seed, cells, lengths):
+def random_loop(seed, cells, lengths, control=ControlLaw.scalar(0.7), source=True):
     """Context and random state of a seeded system with speeds of both
-    signs on every axis, a source, a tilted weight and scalar feedback."""
+    signs on every axis, a source (unless ``source`` is false), a tilted
+    weight and scalar feedback (unless ``control`` says otherwise)."""
     rng = np.random.default_rng(seed)
     grid = Grid(cells, lengths)
     d, n = grid.d, 4
     jac = random_system(rng, d, n).jacobians
-    system = HyperbolicSystem(jac, 0.3 * random_symmetric(rng, n))
+    source_term = 0.3 * random_symmetric(rng, n)
+    system = HyperbolicSystem(jac, source_term if source else np.zeros((n, n)))
     pot = LyapunovPotential(m=rng.uniform(-1.0, 1.0, d), c_a=1.0, c_b=0.0)
-    ctx = _RunContext(system, grid, pot, ControlLaw.scalar(0.7), t_end=0.05, cfl=0.45)
+    ctx = _RunContext(system, grid, pot, control, t_end=0.05, cfl=0.45)
     for eig in ctx.partition.eigs:
         assert eig.eigenvalues.min() < 0.0 < eig.eigenvalues.max()
     return ctx, initial_state(grid, rng.standard_normal(grid.cells_per_axis + (n,)))
 
 
+FLOWS = {"euler+x": (3.0, 0.0), "euler-x": (-3.0, 0.0), "euler+y": (0.0, 3.0), "euler-y": (0.0, -3.0)}
+
+
+def one_signed_loop(name, cells, lengths, control=ControlLaw.scalar(0.7)):
+    """Context and random state of a system with an exactly zero split half:
+    supersonic Euler (one axis along the flow), a 1-D system whose speeds
+    are all positive, or a zero-Jacobian system driven by its source."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    grid = Grid(cells, lengths)
+    if name in FLOWS:
+        system = euler_symmetrized(EulerScenario(1.0, FLOWS[name], 1.0))
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        speeds = np.diag([0.5, 1.0, 2.0]) if name == "one-signed" else np.zeros((3, 3))
+        jac = tuple(SymMatrix(q @ speeds @ q.T) for _ in range(grid.d))
+        system = HyperbolicSystem(jac, 0.3 * random_symmetric(rng, 3))
+    pot = LyapunovPotential(m=rng.uniform(-1.0, 1.0, grid.d), c_a=1.0, c_b=0.0)
+    ctx = _RunContext(system, grid, pot, control, t_end=0.05, cfl=0.45)
+    return ctx, initial_state(grid, rng.standard_normal(grid.cells_per_axis + (3,)))
+
+
+def loop(seed, cells, lengths, **kw):
+    """random_loop for an integer seed, one_signed_loop for a name."""
+    return (random_loop if isinstance(seed, int) else one_signed_loop)(seed, cells, lengths, **kw)
+
+
 LOOPS = [(seed, (13,), (1.0,)) for seed in (1, 2)] + [(seed, (12, 7), (1.0, 0.6)) for seed in (3, 4)]
+ONE_SIGNED_LOOPS = [(name, (12, 7), (1.0, 0.6)) for name in FLOWS] + [
+    ("one-signed", (13,), (1.0,)),
+    ("pure-source", (12, 7), (1.0, 0.6)),
+]
 
 
-@pytest.mark.parametrize("seed, cells, lengths", LOOPS)
+@pytest.mark.parametrize("seed, cells, lengths", LOOPS + ONE_SIGNED_LOOPS)
 def test_advance_matches_the_characteristic_sweep(seed, cells, lengths):
-    ctx, state = random_loop(seed, cells, lengths)
+    ctx, state = loop(seed, cells, lengths)
     for _ in range(3):
         before = state.w.copy()
         _, ghosts = _boundary_data(ctx, state)
@@ -222,20 +279,161 @@ def test_advance_matches_the_characteristic_sweep(seed, cells, lengths):
         state = new
 
 
-@pytest.mark.parametrize("seed, cells, lengths", LOOPS)
+@pytest.mark.parametrize("seed, cells, lengths", LOOPS + ONE_SIGNED_LOOPS)
 def test_split_flux_sums_to_the_axis_jacobian(seed, cells, lengths):
     # Exact up to rounding against the eigendata T Lambda T^T; against A_k
-    # itself only up to the eigensolver's backward error.
-    ctx, _ = random_loop(seed, cells, lengths)
+    # itself only up to the eigensolver's backward error.  A half is None
+    # exactly when the axis has no speed of its sign.
+    ctx, _ = loop(seed, cells, lengths)
     axes = zip(ctx.partition.eigs[1::2], ctx.system.jacobians, ctx.grid.spacing, ctx.split)
     for eig, jac, h, (plus, minus) in axes:
         scale = ctx.dt / h
-        total = (plus + minus) / scale
+        assert (plus is None) == (eig.eigenvalues.max() <= 0.0)
+        assert (minus is None) == (eig.eigenvalues.min() >= 0.0)
+        zero = np.zeros_like(jac.a)
+        total = ((zero if plus is None else plus) + (zero if minus is None else minus)) / scale
         eigen = (eig.T * eig.eigenvalues) @ eig.T.T
         assert np.abs(total - eigen).max() <= 1e-14 * np.abs(eigen).max()
         assert np.linalg.norm(total - jac.a) <= 1e-12 * np.linalg.norm(jac.a)
-        assert np.linalg.eigvalsh(plus).min() >= -1e-14 * scale
-        assert np.linalg.eigvalsh(minus).max() <= 1e-14 * scale
+        if plus is not None:
+            assert np.linalg.eigvalsh(plus).min() >= -1e-14 * scale
+        if minus is not None:
+            assert np.linalg.eigvalsh(minus).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.5])
+@pytest.mark.parametrize("seed", ["euler+x", 3])
+def test_every_step_meets_the_admissibility_condition(seed, gain):
+    # The paper's condition on the boundary data: injected inflow energy
+    # never exceeds what the traced outgoing characteristics carry out.
+    ctx, state = loop(seed, (12, 7), (1.0, 0.6), control=ControlLaw.scalar(gain))
+    part = ctx.partition
+    for _ in range(10):
+        traces = _traces(state.w)
+        new, controls, _ = _advance(ctx, state)
+        per_face = [np.broadcast_to(controls, (len(side), part.n)) for side in part.sides]
+        assert control_inequality_holds(part, per_face, traces, ctx.face_weights)
+        assert controls.any()
+        if gain == 1.0:
+            # saturated: a little more injection breaks the condition
+            louder = [1.001 * c for c in per_face]
+            assert not control_inequality_holds(part, louder, traces, ctx.face_weights)
+        state = new
+
+
+# The step as it was before the two-buffer sweep, kept as a reference:
+# one padded buffer copied in from the state and a fresh array out, every
+# split half multiplied, the traces projected once for the feedback budget
+# and again for the ghost states, and the feedback denominator recomputed.
+
+
+def reference_boundary_data(ctx, state):
+    part, weights, law = ctx.partition, ctx.face_weights, ctx.control
+    traces = _traces(state.w)
+    controls = np.zeros(part.n)
+    if part.has_inflow() and law.mode != "zero":
+        if law.mode == "scalar":
+            denominator = sum(
+                np.sum(w[:, None] * eig.eigenvalues[inflow])
+                for eig, inflow, w in zip(part.eigs, part.inflow, weights)
+            )
+            budget = 0.0
+            for q, eig, inflow, w in zip(characteristic_traces(part, traces), part.eigs, part.inflow, weights):
+                out = ~inflow
+                budget += np.sum(eig.eigenvalues[out] * q[:, out] ** 2 * w[:, None])
+            level = float(law.gain * np.sqrt(budget / (-denominator)))
+        else:
+            level = float(law.datum(state.t)) if callable(law.datum) else float(law.datum)
+        controls[part.inflow.any(axis=0)] = level
+    ghosts = []
+    for q, eig, inflow in zip(characteristic_traces(part, traces), part.eigs, part.inflow):
+        q[:, inflow] = controls[inflow]
+        ghosts.append(q @ eig.T.T)
+    return controls, tuple(ghosts)
+
+
+class ReferenceBuffers:
+    """The one padded field buffer and three scratch arrays of a run."""
+
+    def __init__(self, ctx):
+        cells = ctx.grid.cells_per_axis
+        self.padded = np.zeros(tuple(c + 2 for c in cells) + (ctx.system.n,))
+        self.interior = self.padded[(slice(1, -1),) * ctx.grid.d]
+        size = ctx.system.n * max(math.prod(cells) // c * (c + 1) for c in cells)
+        self.scratch = tuple(np.empty(size) for _ in range(3))
+        # every half multiplied, a zero one as a zero matrix
+        zero = np.zeros((ctx.system.n,) * 2)
+        self.split = tuple(tuple(zero if half is None else half for half in axis) for axis in ctx.split)
+
+
+def reference_axis_sweep(ctx, buf, k, ghosts):
+    d = ctx.grid.d
+    padded = buf.padded
+    padded[_along(d, k, 0)] = ghosts[0]
+    padded[_along(d, k, -1)] = ghosts[1]
+    shape = list(ctx.grid.cells_per_axis) + [padded.shape[-1]]
+    shape[k] += 1
+    size = math.prod(shape)
+    diff, up, down = (scratch[:size].reshape(shape) for scratch in buf.scratch)
+    np.subtract(padded[_along(d, k, slice(1, None))], padded[_along(d, k, slice(None, -1))], out=diff)
+    rows = diff.reshape(-1, shape[-1])
+    plus, minus = buf.split[k]
+    np.matmul(rows, plus, out=up.reshape(rows.shape))
+    np.matmul(rows, minus, out=down.reshape(rows.shape))
+    lead = (slice(None),) * k
+    flux = up[lead + (slice(None, -1),)]
+    np.add(flux, down[lead + (slice(1, None),)], out=flux)
+    if k < d - 1:
+        np.subtract(buf.interior, flux, out=buf.interior)
+        return None
+    return buf.interior - flux
+
+
+def reference_advance(ctx, buf, state, ghosts):
+    buf.interior[...] = state.w
+    for k in range(ctx.grid.d):
+        w = reference_axis_sweep(ctx, buf, k, ghosts[2 * k : 2 * k + 2])
+    if ctx.system.source.any():
+        w -= ctx.dt * (w @ ctx.system.source.T)
+    return w
+
+
+REFERENCE_LAWS = {
+    "zero": ControlLaw.zero(),
+    "scalar0.5": ControlLaw.scalar(0.5),
+    "scalar1.0": ControlLaw.scalar(1.0),
+    "prescribed": ControlLaw.prescribed(lambda t: 0.2 * math.cos(40.0 * t)),
+}
+REFERENCE_LOOPS = {
+    "d1": (1, (13,), (1.0,), True),
+    "d1-nosource": (2, (13,), (1.0,), False),
+    "d2": (3, (12, 7), (1.0, 0.6), True),
+    "d2-nosource": (4, (12, 7), (1.0, 0.6), False),
+}
+
+
+@pytest.mark.parametrize("law", REFERENCE_LAWS)
+@pytest.mark.parametrize("case", REFERENCE_LOOPS)
+def test_step_is_bit_identical_to_the_reference_step(case, law):
+    seed, cells, lengths, source = REFERENCE_LOOPS[case]
+    ctx, state = random_loop(seed, cells, lengths, control=REFERENCE_LAWS[law], source=source)
+    assert ctx.system.source.any() == source
+    buf = ReferenceBuffers(ctx)
+    expect = state
+    for _ in range(20):
+        ref_controls, ref_ghosts = reference_boundary_data(ctx, expect)
+        ref_w = reference_advance(ctx, buf, expect, ref_ghosts)
+        new, controls, ghosts = _advance(ctx, state)
+        assert np.array_equal(controls, ref_controls)
+        assert all(np.array_equal(a, b) for a, b in zip(ghosts, ref_ghosts))
+        integral = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
+        assert integral == boundary_integral(ctx.partition, ref_ghosts, ctx.face_weights)
+        rows = expect.w.reshape(-1, ctx.system.n)
+        ref_l = np.einsum("ci,ci,c->", rows, rows, ctx.cell_weights.reshape(-1))
+        assert abs(lyapunov_value(ctx.cell_weights, state, ctx.scratch[0]) - ref_l) <= 1e-13 * ref_l
+        assert np.array_equal(new.w, ref_w)
+        assert new.t == expect.t + ctx.dt
+        state, expect = new, SimState(expect.t + ctx.dt, ref_w)
 
 
 def test_fit_decay_rate_exact_exponential():
