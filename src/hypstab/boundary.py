@@ -14,7 +14,10 @@ quadratures take the weights from face_weights as an argument, so a
 caller that evaluates them every step computes the weights once.  In the
 same way the feedback law and the ghost assembly take the characteristic
 traces q from one characteristic_traces call, and the feedback law takes
-its denominator from weighted_inflow_speed, a constant of the run.
+its denominator from weighted_inflow_speed, a constant of the run.  The
+closed loop uses the unchecked forms _project and _inject, and takes
+the boundary integral of its ghost states from their characteristic
+values, which it already holds, instead of projecting them again.
 """
 
 from __future__ import annotations
@@ -149,14 +152,23 @@ def face_weights(
 
 def characteristic_traces(partition: BoundaryPartition, traces) -> tuple[np.ndarray, ...]:
     """Per-side characteristic variables q = T^T w from physical traces."""
-    traces = _per_side(partition, traces, "trace")
+    return _project(partition, _per_side(partition, traces, "trace"))
+
+
+def _project(partition: BoundaryPartition, traces) -> tuple[np.ndarray, ...]:
+    """characteristic_traces without the shape checks."""
     return tuple(trace @ eig.T for trace, eig in zip(traces, partition.eigs))
 
 
 def boundary_integral(partition: BoundaryPartition, traces, weights) -> float:
     """Midpoint quadrature of sum_i lambda_i q_i^2 exp(mu) over the boundary."""
+    return _characteristic_flux(partition, characteristic_traces(partition, traces), weights)
+
+
+def _characteristic_flux(partition: BoundaryPartition, q_sides, weights) -> float:
+    """boundary_integral from the characteristic values q of each side."""
     total = 0.0
-    for q, eig, w in zip(characteristic_traces(partition, traces), partition.eigs, weights):
+    for q, eig, w in zip(q_sides, partition.eigs, weights):
         total += np.sum(w * np.sum(eig.eigenvalues * q * q, axis=1))
     return float(total)
 
@@ -227,7 +239,13 @@ def assemble_boundary_data(
     uniform_controls = np.asarray(uniform_controls, dtype=float)
     if uniform_controls.shape != (partition.n,):
         raise SizeMismatch("uniform controls must have one value per characteristic")
-    return tuple(
-        np.where(inflow, uniform_controls, q) @ eig.T.T
-        for q, eig, inflow in zip(q_plus, partition.eigs, partition.inflow)
-    )
+    return _inject(partition, [np.array(q, dtype=float) for q in q_plus], uniform_controls)
+
+
+def _inject(partition: BoundaryPartition, q_sides, uniform_controls) -> tuple[np.ndarray, ...]:
+    """assemble_boundary_data without the check, in place: the inflow
+    components of ``q_sides`` are overwritten with the controls, so that
+    they hold the characteristic values of the ghost states returned."""
+    for q, inflow in zip(q_sides, partition.inflow):
+        q[:, inflow] = uniform_controls[inflow]
+    return tuple(q @ eig.T.T for q, eig in zip(q_sides, partition.eigs))

@@ -10,13 +10,17 @@ prescribed by the active control law and whose outgoing components copy
 the adjacent interior cell.
 
 A run computes the split Jacobians, the energy weights, the inflow
-denominator of the feedback law, two padded field buffers and three
-scratch arrays once.  A step reads the state from the interior of one
-buffer and writes the new state into the interior of the other, each axis
-as contiguous passes over the buffer seen as flat rows, and it skips the
-flux product of a split half that is exactly zero.  A state that the loop
-hands out is therefore overwritten two steps later; snapshots and the
-final state are copies.
+denominator of the feedback law, two padded field buffers, an array for
+the squares of the field and three block-sized scratch arrays once.  A
+step reads the state from the interior of one buffer and writes the new
+state into the interior of the other.  It goes through the buffer one
+block of axis-0 rows at a time, about BLOCK_BYTES each, so that a block
+stays in cache while every substep and the squares of the energy pass
+over it; each pass is contiguous in the buffer seen as flat rows, and the
+flux product of a split half that is exactly zero is skipped.  The step
+returns the new state's energy, and a finite energy proves the state
+finite.  A state that the loop hands out is overwritten two steps later;
+snapshots and the final state are copies.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary import (
-    assemble_boundary_data,
-    boundary_integral,
-    characteristic_traces,
+    _characteristic_flux,
+    _inject,
+    _project,
     face_weights,
     partition_boundary,
     rectangle_faces,
@@ -45,6 +49,9 @@ DEFAULT_CFL = 0.45
 DEFAULT_BUMP_AMPLITUDE = 0.1
 # Fit window skips this fraction of the samples (startup transient).
 FIT_SKIP_FRACTION = 0.10
+# A step works on blocks of padded axis-0 rows of about this many bytes,
+# which stay in a 2 MiB L2 cache together with their scratch arrays.
+BLOCK_BYTES = 192 * 1024
 
 
 @dataclass(frozen=True)
@@ -175,18 +182,21 @@ def cell_weights(grid: Grid, pot: LyapunovPotential | None) -> np.ndarray:
     return grid.cell_volume * np.exp(grid.cell_centers() @ pot.m)
 
 
-def lyapunov_value(weights: np.ndarray, state, scratch: np.ndarray | None = None) -> float:
+def lyapunov_value(weights: np.ndarray, state, squares: np.ndarray | None = None) -> float:
     """Midpoint quadrature of |w|^2 exp(mu) over the box, with ``weights``
     from cell_weights.
 
-    The squares go into ``scratch`` (a flat array of at least the field's
-    size) when it is given, and one matrix-vector product sums them
-    against the weights.
+    The squares go into ``squares`` (an array of the field's shape) when
+    it is given, and one matrix-vector product sums them against the
+    weights.
     """
     w = state.w if isinstance(state, SimState) else np.asarray(state, dtype=float)
-    out = None if scratch is None else scratch[: w.size].reshape(w.shape)
-    squares = np.square(w, out=out)
-    return float(np.sum(weights.reshape(-1) @ squares.reshape(-1, w.shape[-1])))
+    return _weighted_sum(weights, np.square(w, out=squares))
+
+
+def _weighted_sum(weights: np.ndarray, squares: np.ndarray) -> float:
+    """sum_c weights_c |w_c|^2 from the squares of the field."""
+    return float(np.sum(weights.reshape(-1) @ squares.reshape(-1, squares.shape[-1])))
 
 
 def _split_flux(eig, scale: float) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -209,9 +219,13 @@ class _RunContext:
 
     ``padded`` holds two copies of the field with one ghost layer on each
     side, and ``interior`` their interiors.  Seen as flat rows of n values
-    (``flat``), a step along axis k moves ``strides[k]`` rows, and the rows
-    ``rows`` cover the interior cells together with the ghost cells of the
-    other axis beside them.
+    (``flat``), a step along axis k moves ``strides[k]`` rows.  ``blocks``
+    splits the padded axis-0 rows 1..N1 into ranges [a, b) of equal
+    length except the last; a block covers its interior cells together
+    with the ghost cells of the other axis beside them.  ``squares`` holds
+    the squares of the field for the energy, ``scratch`` three arrays for
+    one block's differences and flux products, and ``pair`` the operands
+    of the two-row product in _matmul.
     """
 
     def __init__(
@@ -255,11 +269,15 @@ class _RunContext:
         self.interior = tuple(p[(slice(1, -1),) * grid.d] for p in self.padded)
         self.flat = tuple(p.reshape(-1, system.n) for p in self.padded)
         self.strides = tuple(math.prod(shape[k + 1 : -1]) for k in range(grid.d))
-        self.rows = slice(self.strides[0], (shape[0] - 1) * self.strides[0])
-        # Differences span the update rows plus one step of the widest
-        # stride; the two flux products and the energy squares fit in that.
-        size = system.n * (self.rows.stop - self.rows.start + self.strides[0])
+        cells = grid.cells_per_axis[0]
+        per_block = min(cells, max(1, BLOCK_BYTES // self.padded[0][0].nbytes))
+        self.blocks = tuple((a, min(a + per_block, cells + 1)) for a in range(1, cells + 1, per_block))
+        self.squares = np.empty(grid.cells_per_axis + (system.n,))
+        # Differences span a block's rows plus one step of the widest
+        # stride; the two flux products fit in that.
+        size = system.n * (per_block + 1) * self.strides[0]
         self.scratch = tuple(np.empty(size) for _ in range(3))
+        self.pair = np.empty((2, 2, system.n))
 
 
 def _traces(w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -269,12 +287,14 @@ def _traces(w: np.ndarray) -> tuple[np.ndarray, ...]:
     return (w[0], w[-1], w[:, 0], w[:, -1])
 
 
-def _boundary_data(ctx: _RunContext, state: SimState) -> tuple[np.ndarray, tuple]:
-    """Controls for the current state and the per-side ghost states they
-    give, from one projection of the traces."""
-    q = characteristic_traces(ctx.partition, _traces(state.w))
+def _boundary_data(ctx: _RunContext, state: SimState) -> tuple[np.ndarray, tuple, float]:
+    """Controls for the current state, the per-side ghost states they give
+    and the boundary integral of those ghost states, from one projection
+    of the traces."""
+    q = _project(ctx.partition, _traces(state.w))
     controls = _uniform_controls(ctx, state, q)
-    return controls, assemble_boundary_data(ctx.partition, q, controls)
+    ghosts = _inject(ctx.partition, q, controls)
+    return controls, ghosts, _characteristic_flux(ctx.partition, q, ctx.face_weights)
 
 
 def _uniform_controls(ctx: _RunContext, state: SimState, q) -> np.ndarray:
@@ -299,31 +319,40 @@ def _along(d: int, k: int, index) -> tuple:
     return tuple(index if j == k else slice(1, -1) for j in range(d))
 
 
-def _axis_sweep(ctx: _RunContext, k: int, ghosts: tuple, src: int, dst: int) -> None:
-    """One upwind transport substep along axis k from buffer ``src`` into
-    the update rows of buffer ``dst`` (the same buffer updates in place).
+def _matmul(ctx: _RunContext, rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` into ``out``, rounded alike for every row count.
 
-    ``ghosts`` holds the physical ghost states of sides x_k- and x_k+.  The
-    update is w -= (w - w_prev) dt/h A+ + (w_next - w) dt/h A-, from one
-    array of differences across the k-faces.  Cell p of the flat rows has
-    its backward difference in row p - s of that array and its forward
-    difference in row p, with s the stride of axis k.  The update rows
-    also hold ghost cells of the other axis; their values are overwritten
-    before any step reads them.
+    numpy hands a one-row product to gemv, which rounds differently from
+    the gemm that multiplies longer blocks, so a one-row block (only 1-D
+    grids have them) is multiplied as two copies of its row.
     """
-    d = ctx.grid.d
-    padded = ctx.padded[src]
-    padded[_along(d, k, 0)] = ghosts[0]
-    padded[_along(d, k, -1)] = ghosts[1]
-    flat, out = ctx.flat[src], ctx.flat[dst][ctx.rows]
+    if len(rows) > 1:
+        return np.matmul(rows, matrix, out=out)
+    pair, product = ctx.pair
+    pair[...] = rows
+    np.matmul(pair, matrix, out=product)
+    out[...] = product[:1]
+    return out
+
+
+def _transport(ctx: _RunContext, k: int, src: int, dst: int, lo: int, hi: int) -> None:
+    """One upwind transport substep along axis k from the flat rows lo:hi
+    of buffer ``src`` into the same rows of buffer ``dst`` (the same
+    buffer updates in place).
+
+    The update is w -= (w - w_prev) dt/h A+ + (w_next - w) dt/h A-, from
+    one array of differences across the k-faces.  Cell p of the flat rows
+    has its backward difference in row p - lo of that array and its
+    forward difference in row p - lo + s, with s the stride of axis k, so
+    the differences read the rows lo - s .. hi + s - 1.
+    """
+    flat, out = ctx.flat[src], ctx.flat[dst][lo:hi]
     plus, minus = ctx.split[k]
     if plus is None and minus is None:
         if src != dst:
-            out[...] = flat[ctx.rows]
+            out[...] = flat[lo:hi]
         return
-    s, lo, hi = ctx.strides[k], ctx.rows.start, ctx.rows.stop
-    n = flat.shape[1]
-    m = hi - lo
+    s, n, m = ctx.strides[k], flat.shape[1], hi - lo
     diff = ctx.scratch[0][: (m + s) * n].reshape(-1, n)
     np.subtract(flat[lo : hi + s], flat[lo - s : hi], out=diff)
     # Between two buffers the flux is formed in the destination rows and
@@ -331,39 +360,65 @@ def _axis_sweep(ctx: _RunContext, k: int, ghosts: tuple, src: int, dst: int) -> 
     flux = out if src != dst else ctx.scratch[2][: m * n].reshape(m, n)
     if plus is None or minus is None:
         half, rows = (plus, diff[:m]) if minus is None else (minus, diff[s:])
-        np.matmul(rows, half, out=flux)
+        _matmul(ctx, rows, half, flux)
     else:
-        up = np.matmul(diff[:m], plus, out=ctx.scratch[1][: m * n].reshape(m, n))
-        np.add(up, np.matmul(diff[s:], minus, out=flux), out=flux)
-    np.subtract(flat[ctx.rows], flux, out=out)
+        up = _matmul(ctx, diff[:m], plus, ctx.scratch[1][: m * n].reshape(m, n))
+        np.add(up, _matmul(ctx, diff[s:], minus, flux), out=flux)
+    np.subtract(flat[lo:hi], flux, out=out)
 
 
-def _advance(ctx: _RunContext, state: SimState) -> tuple[SimState, np.ndarray, tuple]:
-    """One explicit step of size ctx.dt; returns the new state, the applied
-    controls and the per-side ghost states.
+def _advance(ctx: _RunContext, state: SimState, ghosts: tuple) -> tuple[SimState, float]:
+    """One explicit step of size ctx.dt with the per-side ghost states
+    ``ghosts``; returns the new state and its weighted energy L.
 
     ``state.w`` is left unchanged.  The new state's field is the interior
     of the buffer that does not hold ``state.w`` (a field held by neither
     is first copied into buffer 0), so it stays valid until the step after
     the next one writes that buffer again.
+
+    The step runs block by block over ctx.blocks: axis-0 transport from
+    the block's rows of the source buffer into the same rows of the
+    destination, the ghost columns of axis 1 in those rows, axis-1
+    transport in place, the source substep and the squares of the block's
+    interior.  Blocks share no state within a step, because the source
+    buffer is only read.  The one exception is the axis-1 difference at a
+    block edge, which reads the ghost-column slot of the neighbouring row;
+    that difference feeds only a ghost-column slot of the block, and every
+    step overwrites ghost-column slots with the ghost states before it
+    reads them.  One matrix-vector product then sums the squares against
+    the weights, as lyapunov_value does, so L is the same to the bit.
     """
-    controls, ghosts = _boundary_data(ctx, state)
     src = 1 if state.w is ctx.interior[1] else 0
     if state.w is not ctx.interior[src]:
         ctx.interior[src][...] = state.w
     dst = 1 - src
-    for k in range(ctx.grid.d):
-        _axis_sweep(ctx, k, ghosts[2 * k : 2 * k + 2], src if k == 0 else dst, dst)
-    if ctx.source_t is not None:
-        rows = ctx.flat[dst][ctx.rows]
-        product = np.matmul(rows, ctx.source_t, out=ctx.scratch[1][: rows.size].reshape(rows.shape))
-        product *= ctx.dt
-        np.subtract(rows, product, out=rows)
-    w = ctx.interior[dst]
+    d, s0 = ctx.grid.d, ctx.strides[0]
+    ctx.padded[src][_along(d, 0, 0)] = ghosts[0]
+    ctx.padded[src][_along(d, 0, -1)] = ghosts[1]
+    padded, interior, rows = ctx.padded[dst], ctx.interior[dst], ctx.flat[dst]
     t = state.t + ctx.dt
-    if not np.isfinite(w).all():
+    for a, b in ctx.blocks:
+        lo, hi = a * s0, b * s0
+        _transport(ctx, 0, src, dst, lo, hi)
+        if d == 2:
+            padded[a:b, 0] = ghosts[2][a - 1 : b - 1]
+            padded[a:b, -1] = ghosts[3][a - 1 : b - 1]
+            _transport(ctx, 1, dst, dst, lo, hi)
+        if ctx.source_t is not None:
+            block = rows[lo:hi]
+            product = _matmul(ctx, block, ctx.source_t, ctx.scratch[1][: block.size].reshape(block.shape))
+            product *= ctx.dt
+            np.subtract(block, product, out=block)
+        # Copied first: a ufunc on the strided interior allocates a buffer.
+        squares = ctx.squares[a - 1 : b - 1]
+        squares[...] = interior[a - 1 : b - 1]
+        np.square(squares, out=squares)
+    energy = _weighted_sum(ctx.cell_weights, ctx.squares)
+    # The weights are nonnegative, so a finite energy proves every value
+    # finite, and only a non-finite one needs the check of the field.
+    if not math.isfinite(energy) and not np.isfinite(interior).all():
         raise NonFinite(f"non-finite field values after the step ending at t = {t:.6e}")
-    return SimState(t=t, w=w), controls, ghosts
+    return SimState(t=t, w=interior), energy
 
 
 def run(
@@ -377,7 +432,12 @@ def run(
     snapshot_times: Sequence[float] = (),
 ) -> RunRecord:
     """Simulate up to t_end, recording the weighted functional, the
-    boundary flux of the applied data, and the control magnitudes."""
+    boundary flux of the applied data, and the control magnitudes.
+
+    Row i holds the state after i steps and the boundary data applied to
+    it; the last row holds the boundary data that would be applied at
+    t_end.
+    """
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end = {t_end} must be positive")
     ctx = _RunContext(system, grid, pot, control, t_end, cfl)
@@ -391,23 +451,16 @@ def run(
     snapshots = []
     queue = sorted(float(s) for s in snapshot_times)
 
-    for i in range(steps):
-        new_state, controls, ghosts = _advance(ctx, state)
-        times[i] = state.t
-        lyap[i] = lyapunov_value(ctx.cell_weights, state, ctx.scratch[0])
-        bnd[i] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
-        ctrl[i] = controls
-        state = new_state
+    energy = lyapunov_value(ctx.cell_weights, state, ctx.squares)
+    for i in range(steps + 1):
+        ctrl[i], ghosts, bnd[i] = _boundary_data(ctx, state)
+        times[i], lyap[i] = state.t, energy
+        if i == steps:
+            break
+        state, energy = _advance(ctx, state, ghosts)
         while queue and state.t >= queue[0] - 1e-12:
             snapshots.append((state.t, SimState(state.t, state.w.copy())))
             queue.pop(0)
-
-    # Final row: boundary data that would be applied at t_end.
-    controls, ghosts = _boundary_data(ctx, state)
-    times[steps] = state.t
-    lyap[steps] = lyapunov_value(ctx.cell_weights, state, ctx.scratch[0])
-    bnd[steps] = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
-    ctrl[steps] = controls
 
     try:
         c_fit = fit_decay_rate(np.column_stack([times, lyap]))

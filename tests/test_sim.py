@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_symmetric, random_system
+from hypstab import sim
 from hypstab.boundary import boundary_integral, characteristic_traces, control_inequality_holds
 from hypstab.config import build_control, parse_config
 from hypstab.errors import DegenerateSeries, NonFinite, SizeMismatch
@@ -267,12 +270,12 @@ def test_advance_matches_the_characteristic_sweep(seed, cells, lengths):
     ctx, state = loop(seed, cells, lengths)
     for _ in range(3):
         before = state.w.copy()
-        _, ghosts = _boundary_data(ctx, state)
+        _, ghosts, _ = _boundary_data(ctx, state)
         expect = state.w
         for k, eig in enumerate(ctx.partition.eigs[1::2]):
             expect = characteristic_sweep(eig, k, expect, ghosts[2 * k : 2 * k + 2], ctx.dt, ctx.grid.spacing[k])
         expect = expect - ctx.dt * (expect @ ctx.system.source.T)
-        new, _, _ = _advance(ctx, state)
+        new, _ = _advance(ctx, state, ghosts)
         assert np.array_equal(state.w, before)
         assert new.t == state.t + ctx.dt
         assert np.abs(new.w - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -310,7 +313,8 @@ def test_every_step_meets_the_admissibility_condition(seed, gain):
     part = ctx.partition
     for _ in range(10):
         traces = _traces(state.w)
-        new, controls, _ = _advance(ctx, state)
+        controls, ghosts, _ = _boundary_data(ctx, state)
+        new, _ = _advance(ctx, state, ghosts)
         per_face = [np.broadcast_to(controls, (len(side), part.n)) for side in part.sides]
         assert control_inequality_holds(part, per_face, traces, ctx.face_weights)
         assert controls.any()
@@ -412,28 +416,101 @@ REFERENCE_LOOPS = {
 }
 
 
+def assert_steps_match_the_reference(ctx, state, steps=20):
+    """Step ``state`` and the reference side by side: states, controls and
+    ghost states are bit-identical and L equals the energy of the
+    reference state.  The boundary integral, which the step takes from the
+    characteristic ghost values instead of projecting the ghost states
+    again, agrees to rounding: 1e-12 of sum w |lambda_i| q_i^2."""
+    buf = ReferenceBuffers(ctx)
+    part, weights = ctx.partition, ctx.face_weights
+    expect = state
+    for _ in range(steps):
+        ref_controls, ref_ghosts = reference_boundary_data(ctx, expect)
+        ref_w = reference_advance(ctx, buf, expect, ref_ghosts)
+        controls, ghosts, integral = _boundary_data(ctx, state)
+        new, energy = _advance(ctx, state, ghosts)
+        assert np.array_equal(controls, ref_controls)
+        assert all(np.array_equal(a, b) for a, b in zip(ghosts, ref_ghosts))
+        scale = sum(
+            np.sum(w[:, None] * np.abs(eig.eigenvalues) * q * q)
+            for q, eig, w in zip(characteristic_traces(part, ref_ghosts), part.eigs, weights)
+        )
+        assert abs(integral - boundary_integral(part, ref_ghosts, weights)) <= 1e-12 * scale
+        assert np.array_equal(new.w, ref_w)
+        assert new.t == expect.t + ctx.dt
+        rows = ref_w.reshape(-1, ctx.system.n)
+        ref_l = np.einsum("ci,ci,c->", rows, rows, ctx.cell_weights.reshape(-1))
+        assert energy == lyapunov_value(ctx.cell_weights, ref_w)
+        assert abs(energy - ref_l) <= 1e-13 * ref_l
+        state, expect = new, SimState(expect.t + ctx.dt, ref_w)
+
+
 @pytest.mark.parametrize("law", REFERENCE_LAWS)
 @pytest.mark.parametrize("case", REFERENCE_LOOPS)
 def test_step_is_bit_identical_to_the_reference_step(case, law):
     seed, cells, lengths, source = REFERENCE_LOOPS[case]
     ctx, state = random_loop(seed, cells, lengths, control=REFERENCE_LAWS[law], source=source)
     assert ctx.system.source.any() == source
-    buf = ReferenceBuffers(ctx)
-    expect = state
-    for _ in range(20):
-        ref_controls, ref_ghosts = reference_boundary_data(ctx, expect)
-        ref_w = reference_advance(ctx, buf, expect, ref_ghosts)
-        new, controls, ghosts = _advance(ctx, state)
-        assert np.array_equal(controls, ref_controls)
-        assert all(np.array_equal(a, b) for a, b in zip(ghosts, ref_ghosts))
-        integral = boundary_integral(ctx.partition, ghosts, ctx.face_weights)
-        assert integral == boundary_integral(ctx.partition, ref_ghosts, ctx.face_weights)
-        rows = expect.w.reshape(-1, ctx.system.n)
-        ref_l = np.einsum("ci,ci,c->", rows, rows, ctx.cell_weights.reshape(-1))
-        assert abs(lyapunov_value(ctx.cell_weights, state, ctx.scratch[0]) - ref_l) <= 1e-13 * ref_l
-        assert np.array_equal(new.w, ref_w)
-        assert new.t == expect.t + ctx.dt
-        state, expect = new, SimState(expect.t + ctx.dt, ref_w)
+    assert len(ctx.blocks) == 1
+    assert_steps_match_the_reference(ctx, state)
+
+
+def padded_row_bytes(cells, n):
+    """Bytes of one padded axis-0 row of an n-component field."""
+    return 8 * n * math.prod(c + 2 for c in cells[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("law", REFERENCE_LAWS)
+@pytest.mark.parametrize("case", REFERENCE_LOOPS)
+def test_blocked_step_is_bit_identical_to_the_reference_step(case, law, rows, monkeypatch):
+    # 13 and 12 axis-0 rows: blocks of 1, of 3 (13 = 4 * 3 + 1) and of 5
+    # (13 = 5 + 5 + 3, 12 = 5 + 5 + 2), so the last block is uneven in
+    # three of the six grids.
+    seed, cells, lengths, source = REFERENCE_LOOPS[case]
+    monkeypatch.setattr(sim, "BLOCK_BYTES", rows * padded_row_bytes(cells, 4))
+    ctx, state = random_loop(seed, cells, lengths, control=REFERENCE_LAWS[law], source=source)
+    sizes = [b - a for a, b in ctx.blocks]
+    assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+    assert ctx.blocks[0][0] == 1 and ctx.blocks[-1][1] == cells[0] + 1
+    assert all(b == a for (_, b), (a, _) in zip(ctx.blocks, ctx.blocks[1:]))
+    assert_steps_match_the_reference(ctx, state)
+
+
+def test_non_finite_value_in_a_later_block_raises(monkeypatch):
+    monkeypatch.setattr(sim, "BLOCK_BYTES", 3 * padded_row_bytes((12, 7), 4))
+    ctx, state = random_loop(3, (12, 7), (1.0, 0.6), control=ControlLaw.zero())
+    assert ctx.blocks == ((1, 4), (4, 7), (7, 10), (10, 13))
+    w = state.w.copy()
+    w[11, 3, 2] = np.nan
+    state = SimState(0.0, w)
+    _, ghosts, _ = _boundary_data(ctx, state)
+    message = f"non-finite field values after the step ending at t = {ctx.dt:.6e}"
+    with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+        _advance(ctx, state, ghosts)
+    # the first blocks were stepped and are finite: the check failed on a
+    # later one
+    assert np.isfinite(ctx.interior[1][:9]).all()
+
+
+def test_steps_allocate_no_field_sized_temporaries(supersonic, pot2d):
+    # 256^2 supersonic Euler under saturating feedback: after a warm-up
+    # step the loop allocates only block- and boundary-sized arrays.
+    grid = Grid((256, 256), (1.0, 1.0))
+    ctx = _RunContext(supersonic, grid, pot2d, ControlLaw.scalar(1.0), t_end=1.0, cfl=0.45)
+    state = initial_state(grid, default_bump(grid, 3))
+    field_bytes = state.w.nbytes
+    state, _ = _advance(ctx, state, _boundary_data(ctx, state)[1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            state, _ = _advance(ctx, state, _boundary_data(ctx, state)[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < field_bytes / 16
 
 
 def test_fit_decay_rate_exact_exponential():
